@@ -3,7 +3,7 @@ package des
 import (
 	"fmt"
 	"math"
-	"os"
+	"strings"
 	"testing"
 
 	"routesync/internal/rng"
@@ -301,8 +301,8 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-// TestDefaultBackendEnv checks the environment override and its fallback
-// on unrecognized values.
+// TestDefaultBackendEnv checks the environment override, and that an
+// unrecognized value panics naming the accepted ones.
 func TestDefaultBackendEnv(t *testing.T) {
 	cases := []struct {
 		env  string
@@ -311,7 +311,6 @@ func TestDefaultBackendEnv(t *testing.T) {
 		{"", BackendHeap},
 		{"heap", BackendHeap},
 		{"calendar", BackendCalendar},
-		{"bogus", BackendHeap},
 	}
 	for _, c := range cases {
 		t.Setenv(BackendEnv, c.env)
@@ -322,5 +321,14 @@ func TestDefaultBackendEnv(t *testing.T) {
 			t.Errorf("New().Backend() with %s=%q = %v, want %v", BackendEnv, c.env, got, c.want)
 		}
 	}
-	os.Unsetenv(BackendEnv)
+	t.Setenv(BackendEnv, "bogus")
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, `"heap"`) || !strings.Contains(msg, `"calendar"`) {
+				t.Errorf("DefaultBackend with %s=bogus panicked with %q, want a message naming heap and calendar", BackendEnv, msg)
+			}
+		}()
+		DefaultBackend()
+	}()
 }

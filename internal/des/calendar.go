@@ -56,16 +56,18 @@ func ParseBackend(s string) (Backend, error) {
 const BackendEnv = "ROUTESYNC_DES_BACKEND"
 
 // DefaultBackend returns the backend New uses: BackendHeap unless
-// ROUTESYNC_DES_BACKEND names another. An unrecognized value falls back
-// to the heap rather than failing — the variable is a performance knob,
-// never a correctness one.
+// ROUTESYNC_DES_BACKEND names another. It panics on an unrecognized
+// value, so a typo cannot quietly run the default configuration.
 func DefaultBackend() Backend {
-	if v := os.Getenv(BackendEnv); v != "" {
-		if b, err := ParseBackend(v); err == nil {
-			return b
-		}
+	v := os.Getenv(BackendEnv)
+	if v == "" {
+		return BackendHeap
 	}
-	return BackendHeap
+	b, err := ParseBackend(v)
+	if err != nil {
+		panic(fmt.Sprintf("des: %s=%q: %v", BackendEnv, v, err))
+	}
+	return b
 }
 
 // calendar is the calendar-queue state embedded in a Simulator. Buckets

@@ -12,10 +12,12 @@ import (
 // partition engine: broadcast segments joined by ~100 µs bridges, so the
 // conservative engine's window size (the lookahead) is four orders of
 // magnitude below the routing-protocol period that actually spaces the
-// cross-segment traffic. Conservative runs pay a barrier per 100 µs of
-// progress near every event cluster; the optimistic engine's adaptive
-// leases stretch toward the real traffic gap and commit the same events
-// in a tiny fraction of the rounds. The benchmark harness
+// cross-segment traffic. Conservative runs take a window per 100 µs of
+// progress near every event cluster, but in nearly all of them only one
+// LP has events, and the coordinator runs those windows itself without
+// waking the workers; the optimistic engine's adaptive leases stretch
+// toward the real traffic gap and commit the same events in a tiny
+// fraction of the rounds. The benchmark harness
 // (internal/bench.NetsimLowLookahead → out/BENCH_*.json) times this
 // build under both modes; the determinism and window-ratio properties
 // are tested in internal/netsim and internal/experiments.

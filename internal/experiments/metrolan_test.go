@@ -12,12 +12,13 @@ import (
 )
 
 // metroLANSnap captures everything the metro-LAN scenario computes that a
-// user could observe: the end-to-end ping result, network counters, and
-// per-agent protocol statistics.
+// user could observe: the end-to-end ping result, network counters,
+// per-agent protocol statistics and routing tables.
 type metroLANSnap struct {
 	ping     workload.PingResult
 	counters netsim.Counters
 	stats    []routing.Stats
+	tables   []string
 }
 
 func runMetroLAN(seg, per, k int, horizon float64, opts ...netsim.PartitionOption) (metroLANSnap, netsim.SyncStats) {
@@ -33,15 +34,16 @@ func runMetroLAN(seg, per, k int, horizon float64, opts ...netsim.PartitionOptio
 	}
 	for _, ag := range sc.Agents {
 		snap.stats = append(snap.stats, ag.Stats())
+		snap.tables = append(snap.tables, ag.Table().String())
 	}
 	return snap, sc.Net.SyncStats()
 }
 
-// TestMetroLANOptimisticKInvariant is the determinism gate for the
-// low-lookahead scenario: optimistic runs at every partition count are
+// TestMetroLANKInvariant is the determinism gate for the low-lookahead
+// scenario: conservative and optimistic runs at every partition count are
 // bit-identical to the sequential reference — ping RTT timeline, network
-// counters, and every agent's protocol statistics.
-func TestMetroLANOptimisticKInvariant(t *testing.T) {
+// counters, every agent's protocol statistics and routing table.
+func TestMetroLANKInvariant(t *testing.T) {
 	const seg, per = 8, 6
 	const horizon = 15.0
 	ref, _ := runMetroLAN(seg, per, 1, horizon)
@@ -51,21 +53,47 @@ func TestMetroLANOptimisticKInvariant(t *testing.T) {
 	if ref.ping.Lost() == ref.ping.Sent {
 		t.Fatal("all pings lost; the bridged topology never converged")
 	}
-	for _, k := range []int{1, 2, 4} {
-		name := fmt.Sprintf("optimistic/k=%d", k)
-		got, stats := runMetroLAN(seg, per, k, horizon, netsim.WithSyncMode(netsim.SyncOptimistic))
-		if stats.Mode != netsim.SyncOptimistic {
-			t.Fatalf("%s: mode = %v", name, stats.Mode)
+	for _, mode := range []netsim.SyncMode{netsim.SyncConservative, netsim.SyncOptimistic} {
+		for _, k := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/k=%d", mode, k), func(t *testing.T) {
+				got, stats := runMetroLAN(seg, per, k, horizon, netsim.WithSyncMode(mode))
+				if stats.Mode != mode {
+					t.Fatalf("mode = %v", stats.Mode)
+				}
+				if !reflect.DeepEqual(got.counters, ref.counters) {
+					t.Errorf("counters diverge:\n got %+v\nwant %+v", got.counters, ref.counters)
+				}
+				if !reflect.DeepEqual(got.ping, ref.ping) {
+					t.Errorf("ping results diverge:\n got %+v\nwant %+v", got.ping, ref.ping)
+				}
+				if !reflect.DeepEqual(got.stats, ref.stats) {
+					t.Error("agent stats diverge")
+				}
+				for i := range ref.tables {
+					if got.tables[i] != ref.tables[i] {
+						t.Fatalf("agent %d routing table diverges:\n got %s\nwant %s", i, got.tables[i], ref.tables[i])
+					}
+				}
+			})
 		}
-		if !reflect.DeepEqual(got.counters, ref.counters) {
-			t.Errorf("%s: counters diverge:\n got %+v\nwant %+v", name, got.counters, ref.counters)
-		}
-		if !reflect.DeepEqual(got.ping, ref.ping) {
-			t.Errorf("%s: ping results diverge:\n got %+v\nwant %+v", name, got.ping, ref.ping)
-		}
-		if !reflect.DeepEqual(got.stats, ref.stats) {
-			t.Errorf("%s: agent stats diverge", name)
-		}
+	}
+}
+
+// TestMetroLANInlineWindows pins how often the conservative coordinator
+// runs a window itself: on the metro LAN, traffic rarely crosses a
+// bridge, so in most 100 µs windows only one LP has an event and the
+// workers are not woken. The floor sits below the share measured when
+// coordinator-run windows were introduced (480 of 499 windows, 96.2%),
+// so a change that stops recognizing single-LP windows fails here.
+func TestMetroLANInlineWindows(t *testing.T) {
+	_, stats := runMetroLAN(8, 6, 2, 15, netsim.WithSyncMode(netsim.SyncConservative))
+	if stats.Windows == 0 || stats.InlineWindows > stats.Windows {
+		t.Fatalf("InlineWindows = %d, Windows = %d", stats.InlineWindows, stats.Windows)
+	}
+	share := float64(stats.InlineWindows) / float64(stats.Windows)
+	t.Logf("windows=%d inline=%d share=%.4f", stats.Windows, stats.InlineWindows, share)
+	if share < 0.9 {
+		t.Errorf("inline window share %.4f < 0.9", share)
 	}
 }
 

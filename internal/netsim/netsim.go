@@ -245,11 +245,13 @@ type Network struct {
 	lookahead float64
 	// optCfg is the resolved optimistic lease configuration; syncStats
 	// accumulates per-round synchronization counters (both modes).
-	// syncObs is the SyncObserver view of obs, cached at SetObserver so
-	// the per-round notification costs one nil check.
+	// syncObs and inlineObs are the SyncObserver and InlineWindowObserver
+	// views of obs, cached at SetObserver so the per-round notification
+	// costs one nil check.
 	optCfg    OptimisticConfig
 	syncStats SyncStats
 	syncObs   SyncObserver
+	inlineObs InlineWindowObserver
 	// phantomPktSeq numbers packets whose src is not a real node.
 	phantomPktSeq uint64
 	obs           des.Observer
@@ -410,6 +412,7 @@ func (n *Network) Inject(pkt *Packet) {
 func (n *Network) SetObserver(obs des.Observer) {
 	n.obs = obs
 	n.syncObs, _ = obs.(SyncObserver)
+	n.inlineObs, _ = obs.(InlineWindowObserver)
 	n.Sim.SetObserver(obs)
 	for _, p := range n.parts {
 		p.sim.SetObserver(obs)

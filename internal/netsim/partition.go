@@ -321,6 +321,17 @@ func (n *Network) runWindow(cmd windowCmd) {
 	n.wdone.Wait()
 }
 
+// activeBefore counts the logical processes with an event before wend.
+func (n *Network) activeBefore(wend float64) int {
+	active := 0
+	for _, p := range n.parts {
+		if p.sim.NextAt() < wend {
+			active++
+		}
+	}
+	return active
+}
+
 // runPartitioned advances all logical processes to the horizon with
 // bounded-window barrier synchronization. Workers are spawned per call
 // from per-partition bodies built at Partition time and told to quit
@@ -369,7 +380,20 @@ func (n *Network) runPartitioned(horizon float64) {
 		// Strictly-before execution: an event exactly at wend must order
 		// against boundary arrivals landing at wend, which are only
 		// delivered at the barrier below.
-		n.runWindow(windowCmd{wend: wend})
+		if n.activeBefore(wend) > 1 {
+			n.runWindow(windowCmd{wend: wend})
+		} else {
+			// At most one LP has work: waking the workers would cost
+			// more than the window, so the coordinator runs it. The
+			// other LPs only advance their clocks.
+			for _, p := range n.parts {
+				p.sim.RunBefore(wend)
+			}
+			n.syncStats.InlineWindows++
+			if n.inlineObs != nil {
+				n.inlineObs.InlineWindow()
+			}
+		}
 		n.syncStats.Windows++
 		if n.syncObs != nil {
 			n.syncObs.SyncWindow(wend, 0, 0, 0)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"os"
 )
@@ -54,9 +55,14 @@ func ParseSyncMode(s string) (SyncMode, bool) {
 }
 
 // DefaultSyncMode returns the mode selected by ROUTESYNC_SYNC_MODE,
-// falling back to conservative when unset or unrecognized.
+// conservative when unset. It panics on an unrecognized value, so a typo
+// cannot quietly run the default configuration.
 func DefaultSyncMode() SyncMode {
-	m, _ := ParseSyncMode(os.Getenv(SyncModeEnv))
+	v := os.Getenv(SyncModeEnv)
+	m, ok := ParseSyncMode(v)
+	if !ok {
+		panic(fmt.Sprintf("netsim: %s=%q: unknown sync mode (want \"conservative\" or \"optimistic\")", SyncModeEnv, v))
+	}
 	return m
 }
 
@@ -167,6 +173,10 @@ type SyncStats struct {
 	// Windows counts coordination rounds (barriers in conservative mode,
 	// speculate/commit rounds in optimistic mode).
 	Windows uint64
+	// InlineWindows counts the conservative windows the coordinator ran
+	// on its own goroutine because at most one LP had an event in them;
+	// they are included in Windows.
+	InlineWindows uint64
 	// Rollbacks counts LP-rounds undone: one per logical process per
 	// round in which it executed past the commit bound.
 	Rollbacks uint64
@@ -202,6 +212,14 @@ func (n *Network) SyncMode() SyncMode { return n.syncStats.Mode }
 // coordinator, between windows.
 type SyncObserver interface {
 	SyncWindow(gvt, lag float64, rollbacks int, maxDepth float64)
+}
+
+// InlineWindowObserver is an optional extension of SyncObserver: an
+// observer that also implements it hears one InlineWindow call per
+// conservative window the coordinator ran itself (see
+// SyncStats.InlineWindows), just before that window's SyncWindow call.
+type InlineWindowObserver interface {
+	InlineWindow()
 }
 
 // Checkpointable is state that must be saved and restored alongside a

@@ -140,9 +140,6 @@ type agentCkpt struct {
 // SaveCheckpoint implements netsim.Checkpointable for optimistic
 // partitioned runs.
 func (a *Agent) SaveCheckpoint() {
-	// First save: stock the route pool to the destination universe, so
-	// restore/replay churn never grows it mid-round (O(1) once warm).
-	a.table.Prewarm(a.k.Node().Net().NumNodes())
 	a.ckpt.lastTrig = a.lastTrig
 	a.ckpt.stats = a.stats
 	a.table.saveInto(&a.ckpt.table)
@@ -199,10 +196,9 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 				a.OnTimerReset(resetAt, expiresAt)
 			}
 		},
-		// Reset in place: the table's map buckets, route structs and
-		// scratch survive onto the free lists, so repeated crash/reboot
-		// cycles stop allocating once the first life's high-water marks
-		// are reached.
+		// Reset in place: the table's route slice and scratch keep their
+		// capacity, so repeated crash/reboot cycles stop allocating once
+		// the first life's high-water marks are reached.
 		ResetVolatile: func() { a.table.Reset() },
 		Restarted: func() {
 			a.lastTrig = a.k.Node().Now() - a.cfg.TriggerHoldoff

@@ -9,44 +9,49 @@ import (
 	"routesync/internal/netsim"
 )
 
-// Route is one routing-table entry.
+// Route is one routing-table entry (Metric sits by Local: 48 bytes).
 type Route struct {
 	Dest    netsim.NodeID
-	Metric  uint32
 	NextHop netsim.NodeID
 	Via     netsim.Medium
 	// Updated is the last time this route was installed or refreshed.
 	Updated float64
+	Metric  uint32
 	// Local marks the router's own address (metric 0, never expires).
 	Local bool
 }
 
-// Table is a distance-vector routing table. All per-call state (the
-// sorted view, apply/expire result lists, recycled Route structs) is
-// retained scratch, so the steady-state update cycle — export, apply,
-// expire — allocates nothing once the table has reached its high-water
-// size.
+// Table is a distance-vector routing table: one slice of the known
+// routes (not one slot per node id) kept sorted by destination, the
+// order every router exports in, so applying an update is a merge,
+// aging one compaction pass and exporting one scan. With its retained
+// scratch, the steady-state update cycle allocates nothing.
 type Table struct {
-	routes   map[netsim.NodeID]*Route
+	routes   []Route
 	infinity uint32
 	holdDown float64
+	// holdTill is keyed by destination rather than stored in the route:
+	// a hold-down must outlive the garbage-collected route it guards.
 	holdTill map[netsim.NodeID]float64
 
-	// sorted caches the destination-ordered route list; inserts and
-	// deletes invalidate it (metric/refresh changes keep the order).
-	sorted   []*Route
-	sortedOK bool
-	// free recycles Route structs deleted by Expire or Reset.
-	free []*Route
+	// pend holds new routes until they are merged in (insertPending).
+	pend []pendingRoute
 	// inst/unre back ApplyResult's slices; expU/expD back Expire's.
 	inst, unre []netsim.NodeID
 	expU, expD []netsim.NodeID
 }
 
+// pendingRoute is a route learned from the update being applied, to be
+// inserted before routes[pos]; the update gives its hop, medium and time.
+type pendingRoute struct {
+	pos    int
+	dest   netsim.NodeID
+	metric uint32
+}
+
 // NewTable creates a table with the given unreachable metric.
 func NewTable(infinity uint32) *Table {
 	return &Table{
-		routes:   make(map[netsim.NodeID]*Route),
 		infinity: infinity,
 		holdTill: make(map[netsim.NodeID]float64),
 	}
@@ -81,71 +86,47 @@ func (t *Table) Infinity() uint32 { return t.infinity }
 // garbage collection.
 func (t *Table) Len() int { return len(t.routes) }
 
-// Get returns the route for dest, or nil.
-func (t *Table) Get(dest netsim.NodeID) *Route { return t.routes[dest] }
+// find returns the index of dest's route, or the index it would be
+// inserted at and false.
+func (t *Table) find(dest netsim.NodeID) (int, bool) {
+	// Node ids are dense from 0, so a table that knows every node holds
+	// dest at index dest; try that before searching.
+	if i := int(dest); i >= 0 && i < len(t.routes) && t.routes[i].Dest == dest {
+		return i, true
+	}
+	return slices.BinarySearchFunc(t.routes, dest, cmpDest)
+}
+
+func cmpDest(r Route, d netsim.NodeID) int { return cmp.Compare(r.Dest, d) }
+
+// Get returns the route for dest, or nil. The pointer is valid until the
+// table's next mutation (Apply, Expire, SetLocal, Reset or a restore).
+func (t *Table) Get(dest netsim.NodeID) *Route {
+	if i, ok := t.find(dest); ok {
+		return &t.routes[i]
+	}
+	return nil
+}
 
 // SetLocal installs the router's own address with metric 0.
 func (t *Table) SetLocal(self netsim.NodeID, now float64) {
-	if r, ok := t.routes[self]; ok {
-		*r = Route{Dest: self, NextHop: self, Updated: now, Local: true}
-		return
+	r := Route{Dest: self, NextHop: self, Updated: now, Local: true}
+	if i, ok := t.find(self); ok {
+		t.routes[i] = r
+	} else {
+		t.routes = slices.Insert(t.routes, i, r)
 	}
-	t.routes[self] = t.newRoute(Route{Dest: self, NextHop: self, Updated: now, Local: true})
-	t.sortedOK = false
 }
 
-// newRoute returns a recycled (or fresh) Route holding r.
-func (t *Table) newRoute(r Route) *Route {
-	if k := len(t.free); k > 0 {
-		p := t.free[k-1]
-		t.free = t.free[:k-1]
-		*p = r
-		return p
-	}
-	p := new(Route)
-	*p = r
-	return p
-}
+// Routes returns a copy of the entries sorted by destination, for
+// deterministic iteration (dumps, tests). Hot paths use ExportInto.
+func (t *Table) Routes() []Route { return slices.Clone(t.routes) }
 
-func cmpRouteDest(a, b *Route) int { return cmp.Compare(a.Dest, b.Dest) }
-
-// sortedRoutes returns the destination-ordered route list, rebuilding
-// the cached view only after an insert or delete. Destinations are
-// unique map keys, so the order is total and deterministic.
-func (t *Table) sortedRoutes() []*Route {
-	if !t.sortedOK {
-		t.sorted = t.sorted[:0]
-		for _, r := range t.routes {
-			t.sorted = append(t.sorted, r)
-		}
-		slices.SortFunc(t.sorted, cmpRouteDest)
-		t.sortedOK = true
-	}
-	return t.sorted
-}
-
-// Routes returns a copy of the entries sorted by destination for
-// deterministic iteration (dumps, tests). Hot paths use ExportInto,
-// which reads the cached sorted view without copying.
-func (t *Table) Routes() []*Route {
-	return append([]*Route(nil), t.sortedRoutes()...)
-}
-
-// Reset clears the table in place for a cold restart (router crash):
-// all routes are recycled onto the free list and the hold-down windows
-// cleared, while the map buckets, sorted view and scratch buffers keep
-// their capacity for the next life. The configured infinity and
-// hold-down are retained.
+// Reset clears routes and hold-downs in place for a cold restart
+// (router crash), keeping buffer capacity, infinity and hold-down.
 func (t *Table) Reset() {
-	for dest, r := range t.routes {
-		t.free = append(t.free, r)
-		delete(t.routes, dest)
-	}
-	for dest := range t.holdTill {
-		delete(t.holdTill, dest)
-	}
-	t.sorted = t.sorted[:0]
-	t.sortedOK = false
+	t.routes = t.routes[:0]
+	clear(t.holdTill)
 }
 
 // tableCkpt shadows a table's contents for optimistic rollback: route
@@ -160,50 +141,22 @@ type holdEntry struct {
 	till float64
 }
 
-// saveInto flattens the table into c, reusing c's buffers.
+// saveInto copies the table into c, reusing c's buffers.
 func (t *Table) saveInto(c *tableCkpt) {
-	c.routes = c.routes[:0]
-	for _, r := range t.routes {
-		c.routes = append(c.routes, *r)
-	}
+	c.routes = append(c.routes[:0], t.routes...)
 	c.holds = c.holds[:0]
 	for dest, till := range t.holdTill {
 		c.holds = append(c.holds, holdEntry{dest, till})
 	}
 }
 
-// restoreFrom rebuilds the table from c in place: current Route structs
-// recycle onto the free list and the saved values repopulate through it,
-// so a warm restore allocates nothing. The rebuilt map's iteration order
-// differs from the original, which is unobservable — every consumer
-// either sorts (Expire's result lists) or reads the destination-ordered
-// cached view (ExportInto).
+// restoreFrom rebuilds the table from c in place, so a warm restore
+// allocates nothing.
 func (t *Table) restoreFrom(c *tableCkpt) {
-	for dest, r := range t.routes {
-		t.free = append(t.free, r)
-		delete(t.routes, dest)
-	}
-	for i := range c.routes {
-		t.routes[c.routes[i].Dest] = t.newRoute(c.routes[i])
-	}
-	for dest := range t.holdTill {
-		delete(t.holdTill, dest)
-	}
+	t.routes = append(t.routes[:0], c.routes...)
+	clear(t.holdTill)
 	for _, h := range c.holds {
 		t.holdTill[h.dest] = h.till
-	}
-	t.sorted = t.sorted[:0]
-	t.sortedOK = false
-}
-
-// Prewarm grows the table's Route pool (live + free) to at least n
-// structs. Rollback restores and route churn pop the free list at their
-// transient maxima; stocking it to the destination universe up front
-// keeps the steady state allocation-free instead of letting the pool's
-// high-water mark creep one struct at a time.
-func (t *Table) Prewarm(n int) {
-	for have := len(t.routes) + len(t.free); have < n; have++ {
-		t.free = append(t.free, &Route{})
 	}
 }
 
@@ -240,52 +193,69 @@ func (t *Table) Apply(m Message, via netsim.Medium, now float64) ApplyResult {
 // composite metric in spirit) supply larger costs for slower media. Cost
 // must be at least 1 (a zero-cost hop would allow counting loops that
 // never age).
+//
+// An ascending run of entries is merged with a forward cursor and its
+// new routes inserted when the run ends; an entry not above the previous
+// one restarts the cursor, so any entry order works.
 func (t *Table) ApplyCost(m Message, via netsim.Medium, now float64, cost uint32) ApplyResult {
 	if cost < 1 {
 		panic("routing: link cost must be at least 1")
 	}
-	var res ApplyResult
-	res.Installed = t.inst[:0]
-	res.Unreachable = t.unre[:0]
+	res := ApplyResult{Installed: t.inst[:0], Unreachable: t.unre[:0]}
 	from := m.Router
 
 	// The neighbor itself is reachable at one hop — distance-vector
 	// protocols learn adjacency from the updates themselves.
-	t.applyOne(Entry{Dest: from, Metric: 0}, from, via, now, cost, &res)
+	i, ok := t.find(from)
+	t.applyOne(Entry{Dest: from, Metric: 0}, i, ok, from, via, now, cost, &res)
+	t.insertPending(from, via, now)
 
+	i = 0
+	prev := netsim.NodeID(-1)
 	for _, e := range m.Entries {
 		if e.Dest == from {
 			continue // the neighbor's self-route was handled above
 		}
-		t.applyOne(e, from, via, now, cost, &res)
+		if e.Dest <= prev {
+			t.insertPending(from, via, now)
+			i = 0
+		}
+		prev = e.Dest
+		for i < len(t.routes) && t.routes[i].Dest < e.Dest {
+			i++
+		}
+		t.applyOne(e, i, i < len(t.routes) && t.routes[i].Dest == e.Dest, from, via, now, cost, &res)
 	}
+	t.insertPending(from, via, now)
 	// Keep the (possibly grown) backing arrays for the next call.
 	t.inst = res.Installed
 	t.unre = res.Unreachable
 	return res
 }
 
-func (t *Table) applyOne(e Entry, from netsim.NodeID, via netsim.Medium, now float64, cost uint32, res *ApplyResult) {
+// applyOne applies entry e, whose route is routes[i] when found, and
+// otherwise would be inserted before routes[i].
+func (t *Table) applyOne(e Entry, i int, found bool, from netsim.NodeID, via netsim.Medium, now float64, cost uint32, res *ApplyResult) {
 	cand := e.Metric + cost
 	if cand > t.infinity || cand < e.Metric { // cap, guard overflow
 		cand = t.infinity
 	}
-	cur, ok := t.routes[e.Dest]
-	switch {
-	case ok && cur.Local:
-		// never replace our own address
-		return
-	case !ok:
+	if !found {
 		if cand >= t.infinity {
 			return // don't learn unreachable routes
 		}
 		if t.HeldDown(e.Dest, now) {
 			return // hold-down: distrust resurrection rumors
 		}
-		t.routes[e.Dest] = t.newRoute(Route{Dest: e.Dest, Metric: cand, NextHop: from, Via: via, Updated: now})
-		t.sortedOK = false
+		t.pend = append(t.pend, pendingRoute{i, e.Dest, cand})
 		res.Changed = true
 		res.Installed = append(res.Installed, e.Dest)
+		return
+	}
+	cur := &t.routes[i]
+	switch {
+	case cur.Local:
+		// never replace our own address
 	case cur.NextHop == from:
 		// Updates from the current next hop are always believed — this
 		// is how bad news propagates. Repeated unreachable
@@ -324,36 +294,54 @@ func (t *Table) applyOne(e Entry, from netsim.NodeID, via netsim.Medium, now flo
 	}
 }
 
+// insertPending merges the pending new routes, learned from neighbor
+// from over via at now, into the table in one backward pass. Their
+// positions and destinations ascend together.
+func (t *Table) insertPending(from netsim.NodeID, via netsim.Medium, now float64) {
+	k := len(t.pend)
+	if k == 0 {
+		return
+	}
+	end := len(t.routes)
+	t.routes = slices.Grow(t.routes, k)[:end+k]
+	for j := k - 1; j >= 0; j-- {
+		p := t.pend[j]
+		copy(t.routes[p.pos+j+1:], t.routes[p.pos:end])
+		t.routes[p.pos+j] = Route{Dest: p.dest, Metric: p.metric, NextHop: from, Via: via, Updated: now}
+		end = p.pos
+	}
+	t.pend = t.pend[:0]
+}
+
 // Expire ages routes: entries unrefreshed for longer than timeout are
 // marked unreachable; unreachable entries older than gcAfter are deleted.
 // It returns the destinations that just became unreachable (for triggered
-// updates) and those deleted. Like ApplyResult's slices, both returned
-// lists are scratch-backed and valid until the next Expire call.
+// updates) and those deleted, each in ascending order. Like
+// ApplyResult's slices, both returned lists are scratch-backed and valid
+// until the next Expire call.
 func (t *Table) Expire(now, timeout, gcAfter float64) (newlyUnreachable, deleted []netsim.NodeID) {
 	newlyUnreachable = t.expU[:0]
 	deleted = t.expD[:0]
-	for dest, r := range t.routes {
-		if r.Local {
-			continue
-		}
+	w := 0
+	for i := range t.routes {
+		r := &t.routes[i]
 		age := now - r.Updated
-		if r.Metric >= t.infinity {
+		switch {
+		case r.Local:
+		case r.Metric >= t.infinity:
 			if age > gcAfter {
-				delete(t.routes, dest)
-				t.free = append(t.free, r)
-				t.sortedOK = false
-				deleted = append(deleted, dest)
+				deleted = append(deleted, r.Dest)
+				continue
 			}
-			continue
-		}
-		if age > timeout {
+		case age > timeout:
 			r.Metric = t.infinity
-			t.startHold(dest, now)
-			newlyUnreachable = append(newlyUnreachable, dest)
+			t.startHold(r.Dest, now)
+			newlyUnreachable = append(newlyUnreachable, r.Dest)
 		}
+		t.routes[w] = *r
+		w++
 	}
-	slices.Sort(newlyUnreachable)
-	slices.Sort(deleted)
+	t.routes = t.routes[:w]
 	t.expU = newlyUnreachable
 	t.expD = deleted
 	return newlyUnreachable, deleted
@@ -364,7 +352,7 @@ func (t *Table) Expire(now, timeout, gcAfter float64) (newlyUnreachable, deleted
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "routing table (%d routes, infinity %d)\n", len(t.routes), t.infinity)
-	for _, r := range t.Routes() {
+	for _, r := range t.routes {
 		flag := ""
 		if r.Local {
 			flag = " local"
@@ -390,7 +378,8 @@ func (t *Table) Export(on netsim.Medium, splitHorizon, poisonReverse bool) []Ent
 // ExportInto is Export appending onto dst — agents pass a per-agent
 // scratch slice so steady-state update preparation allocates nothing.
 func (t *Table) ExportInto(dst []Entry, on netsim.Medium, splitHorizon, poisonReverse bool) []Entry {
-	for _, r := range t.sortedRoutes() {
+	for i := range t.routes {
+		r := &t.routes[i]
 		if splitHorizon && !r.Local && r.Via == on {
 			if poisonReverse {
 				dst = append(dst, Entry{Dest: r.Dest, Metric: t.infinity})

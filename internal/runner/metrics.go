@@ -26,6 +26,7 @@ type Metrics struct {
 	// The float maxima are stored as math.Float64bits so the CAS max
 	// works on non-negative values.
 	syncWindows   atomic.Uint64
+	syncInline    atomic.Uint64
 	syncRollbacks atomic.Uint64
 	rollbackDepth atomic.Uint64
 	gvtLag        atomic.Uint64
@@ -64,6 +65,10 @@ func (m *Metrics) SyncWindow(gvt, lag float64, rollbacks int, maxDepth float64) 
 	bumpFloat(&m.rollbackDepth, maxDepth)
 	bumpFloat(&m.gvtLag, lag)
 }
+
+// InlineWindow implements netsim.InlineWindowObserver: one call per
+// conservative window the coordinator ran without waking the workers.
+func (m *Metrics) InlineWindow() { m.syncInline.Add(1) }
 
 // bumpFloat is a CAS max over non-negative float64 values stored as
 // bits (for non-negative IEEE-754 values, bit order is value order).
@@ -106,15 +111,17 @@ type MetricsSnapshot struct {
 	// DES events.
 	DESBackend string `json:"des_backend,omitempty"`
 	// SyncWindows counts partition coordination rounds (conservative
-	// windows or optimistic commit rounds); SyncRollbacks the LP
-	// rollbacks paid across them. RollbackDepthMax and GVTLagMax are the
-	// deepest single rollback and the furthest any LP clock ran past a
-	// commit frontier, in simulated seconds — the realized bounded-
-	// rollback envelope for the run.
-	SyncWindows      uint64  `json:"sync_windows,omitempty"`
-	SyncRollbacks    uint64  `json:"sync_rollbacks,omitempty"`
-	RollbackDepthMax float64 `json:"rollback_depth_max,omitempty"`
-	GVTLagMax        float64 `json:"gvt_lag_max,omitempty"`
+	// windows or optimistic commit rounds); SyncWindowsInline those of
+	// them the coordinator ran itself because at most one LP had work;
+	// SyncRollbacks the LP rollbacks paid across them. RollbackDepthMax
+	// and GVTLagMax are the deepest single rollback and the furthest any
+	// LP clock ran past a commit frontier, in simulated seconds — the
+	// realized bounded-rollback envelope for the run.
+	SyncWindows       uint64  `json:"sync_windows,omitempty"`
+	SyncWindowsInline uint64  `json:"sync_windows_inline,omitempty"`
+	SyncRollbacks     uint64  `json:"sync_rollbacks,omitempty"`
+	RollbackDepthMax  float64 `json:"rollback_depth_max,omitempty"`
+	GVTLagMax         float64 `json:"gvt_lag_max,omitempty"`
 }
 
 // Snapshot returns the current counts, or nil if nothing was observed —
@@ -131,6 +138,7 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 		EventQueuePeakDepth: m.maxDepth.Load(),
 		RoundsCompleted:     m.rounds.Load(),
 		SyncWindows:         m.syncWindows.Load(),
+		SyncWindowsInline:   m.syncInline.Load(),
 		SyncRollbacks:       m.syncRollbacks.Load(),
 		RollbackDepthMax:    math.Float64frombits(m.rollbackDepth.Load()),
 		GVTLagMax:           math.Float64frombits(m.gvtLag.Load()),

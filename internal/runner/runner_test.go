@@ -13,17 +13,21 @@ import (
 	"routesync/internal/netsim"
 )
 
-// The metrics observer must satisfy the partition engine's sync hook so
+// The metrics observer must satisfy the partition engine's sync hooks so
 // netsim.SetObserver wires it up automatically.
-var _ netsim.SyncObserver = (*Metrics)(nil)
+var (
+	_ netsim.SyncObserver         = (*Metrics)(nil)
+	_ netsim.InlineWindowObserver = (*Metrics)(nil)
+)
 
 func TestMetricsSyncWindow(t *testing.T) {
 	m := &Metrics{}
-	m.SyncWindow(1.0, 0, 0, 0) // a conservative window: no rollback data
+	m.InlineWindow()
+	m.SyncWindow(1.0, 0, 0, 0) // a coordinator-run conservative window
 	m.SyncWindow(2.0, 0.25, 2, 0.125)
 	m.SyncWindow(3.0, 0.1, 1, 0.5)
 	s := m.Snapshot()
-	if s == nil || s.SyncWindows != 3 || s.SyncRollbacks != 3 {
+	if s == nil || s.SyncWindows != 3 || s.SyncWindowsInline != 1 || s.SyncRollbacks != 3 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	if s.RollbackDepthMax != 0.5 {
