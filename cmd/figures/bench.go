@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"routesync/internal/bench"
-	"routesync/internal/des"
 	"routesync/internal/netsim"
 	"routesync/internal/runner"
 )
@@ -55,10 +54,8 @@ func runBench(outDir string) error {
 		{"DESScheduleCancel", bench.DESScheduleCancel},
 		{"DESTicker", bench.DESTicker},
 		{"TickerStorm", bench.TickerStorm},
-		{"DESScheduleFire/backend=heap/depth=1000", func(b *testing.B) { bench.DESScheduleFire(b, des.BackendHeap, 1000) }},
-		{"DESScheduleFire/backend=calendar/depth=1000", func(b *testing.B) { bench.DESScheduleFire(b, des.BackendCalendar, 1000) }},
-		{"DESScheduleFire/backend=heap/depth=100000", func(b *testing.B) { bench.DESScheduleFire(b, des.BackendHeap, 100000) }},
-		{"DESScheduleFire/backend=calendar/depth=100000", func(b *testing.B) { bench.DESScheduleFire(b, des.BackendCalendar, 100000) }},
+		{"DESScheduleFire/backend=heap/depth=1000", func(b *testing.B) { bench.DESScheduleFire(b, 1000) }},
+		{"DESScheduleFire/backend=heap/depth=100000", func(b *testing.B) { bench.DESScheduleFire(b, 100000) }},
 		{"PeriodicStep/N=20", func(b *testing.B) { bench.PeriodicStep(b, 20) }},
 		{"PeriodicStep/N=100", func(b *testing.B) { bench.PeriodicStep(b, 100) }},
 		{"PeriodicStep/N=1000", func(b *testing.B) { bench.PeriodicStep(b, 1000) }},

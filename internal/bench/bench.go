@@ -93,16 +93,13 @@ func DESScheduleStepObserved(b *testing.B) {
 }
 
 // DESScheduleFire measures the kernel's steady state — one Step plus one
-// Schedule per iteration — at a configurable pending-event depth on a
-// chosen queue backend. The prefill scatters expiries uniformly over a
-// window of mean spacing one, and each fired event is replaced by a new
-// one at a uniform offset past the horizon, so depth stays constant and
-// the queue keeps its spread. This is the backend crossover benchmark:
-// the heap pays O(log depth) per op while the calendar queue stays O(1)
-// amortized, which is the whole case for the calendar backend at
-// large-N populations.
-func DESScheduleFire(b *testing.B, backend des.Backend, depth int) {
-	sim := des.NewBackend(backend)
+// Schedule per iteration — at a configurable pending-event depth. The
+// prefill scatters expiries uniformly over a window of mean spacing one,
+// and each fired event is replaced by a new one at a uniform offset past
+// the horizon, so depth stays constant and the queue keeps its spread.
+// The heap pays O(log depth) per op; comparing depths shows that slope.
+func DESScheduleFire(b *testing.B, depth int) {
+	sim := des.New()
 	nop := func() {}
 	r := rng.New(11)
 	window := float64(depth)
@@ -183,15 +180,11 @@ func PeriodicStepObserved(b *testing.B, n int) {
 	}
 }
 
-// PeriodicStepLargeN is PeriodicStep at populations past the EngineAuto
-// threshold, where the structure-of-arrays bucket engine takes over: one
+// PeriodicStepLargeN is PeriodicStep at populations past the threshold
+// where New switches to the structure-of-arrays bucket engine: one
 // cluster firing at N = 10k–100k, still 0 allocs/op in steady state.
-// The engine is pinned explicitly so the benchmark keeps measuring the
-// bucket path even if the auto threshold moves.
 func PeriodicStepLargeN(b *testing.B, n int) {
-	cfg := PeriodicBenchConfig(n)
-	cfg.Engine = periodic.EngineBucket
-	sys := periodic.New(cfg)
+	sys := periodic.New(PeriodicBenchConfig(n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

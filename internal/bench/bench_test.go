@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"routesync/internal/des"
 	"routesync/internal/netsim"
 )
 
@@ -17,12 +16,10 @@ func BenchmarkDESScheduleCancel(b *testing.B)       { DESScheduleCancel(b) }
 func BenchmarkDESTicker(b *testing.B)               { DESTicker(b) }
 
 func BenchmarkDESScheduleFire(b *testing.B) {
-	for _, backend := range []des.Backend{des.BackendHeap, des.BackendCalendar} {
-		for _, depth := range []int{1000, 100000} {
-			b.Run(fmt.Sprintf("backend=%s/depth=%d", backend, depth), func(b *testing.B) {
-				DESScheduleFire(b, backend, depth)
-			})
-		}
+	for _, depth := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("backend=heap/depth=%d", depth), func(b *testing.B) {
+			DESScheduleFire(b, depth)
+		})
 	}
 }
 func BenchmarkTickerStorm(b *testing.B) { TickerStorm(b) }

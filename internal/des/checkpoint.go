@@ -73,25 +73,13 @@ func (s *Simulator) Save(cp *Checkpoint) {
 		cp.gens = append(cp.gens, s.pool[i].gen)
 	}
 	cp.events = cp.events[:0]
-	if s.backend == BackendCalendar {
-		for _, list := range s.cal.buckets {
-			for _, slot := range list {
-				cp.saveEvent(s, slot)
-			}
-		}
-	} else {
-		for _, slot := range s.queue {
-			cp.saveEvent(s, slot)
-		}
+	for _, slot := range s.queue {
+		ev := &s.pool[slot]
+		cp.events = append(cp.events, savedEvent{
+			slot: slot, at: ev.at, key: ev.key, seq: ev.seq,
+			fn: ev.fn, label: ev.label,
+		})
 	}
-}
-
-func (cp *Checkpoint) saveEvent(s *Simulator, slot int32) {
-	ev := &s.pool[slot]
-	cp.events = append(cp.events, savedEvent{
-		slot: slot, at: ev.at, key: ev.key, seq: ev.seq,
-		fn: ev.fn, label: ev.label,
-	})
 }
 
 // Pending returns the number of events the checkpoint holds.
@@ -115,16 +103,7 @@ func (s *Simulator) Rewind(cp *Checkpoint) {
 	}
 	// Empty the queue wholesale: restored events are re-pushed below, and
 	// everything else is dropped.
-	if s.backend == BackendCalendar {
-		c := &s.cal
-		for i := range c.buckets {
-			c.buckets[i] = c.buckets[i][:0]
-		}
-		c.size = 0
-		c.curVB = 0
-	} else {
-		s.queue = s.queue[:0]
-	}
+	s.queue = s.queue[:0]
 	// Reset every slot: saved generations for slots that existed at the
 	// save; callbacks dropped so rewound closures are not pinned.
 	for i := range s.pool {
@@ -142,9 +121,9 @@ func (s *Simulator) Rewind(cp *Checkpoint) {
 	for i := cp.poolLen; i < len(s.pool); i++ {
 		s.free = append(s.free, int32(i))
 	}
-	// Re-queue the saved pending events at their original slots. Queue
-	// internals (heap shape, calendar layout) may differ from the original
-	// run, but the fire order is (at, key, seq), which is restored exactly.
+	// Re-queue the saved pending events at their original slots. The
+	// heap's shape may differ from the original run, but the fire order
+	// is (at, key, seq), which is restored exactly.
 	for i := range cp.events {
 		se := &cp.events[i]
 		ev := &s.pool[se.slot]
@@ -153,7 +132,7 @@ func (s *Simulator) Rewind(cp *Checkpoint) {
 		ev.seq = se.seq
 		ev.fn = se.fn
 		ev.label = se.label
-		s.qPush(se.slot)
+		s.push(se.slot)
 	}
 	s.now = cp.now
 	s.seq = cp.seq
@@ -173,7 +152,7 @@ func (s *Simulator) LastFired() Time { return s.lastFired }
 // globally unique keys this lets a coordinator pick the globally minimal
 // event across several simulators without executing anything.
 func (s *Simulator) NextOrd() (at Time, key uint64, ok bool) {
-	slot := s.qPeek()
+	slot := s.peek()
 	if slot < 0 {
 		return 0, 0, false
 	}

@@ -1,9 +1,7 @@
 // Package des provides a deterministic discrete-event simulation kernel:
 // a simulation clock, an event queue with stable FIFO tie-breaking, and
-// cancellable timers. Two queue backends are available — an indexed
-// binary heap (the default and reference) and a Brown-style calendar
-// queue for deep queues — selected per Simulator or via the
-// ROUTESYNC_DES_BACKEND environment variable; see Backend.
+// cancellable timers. The queue is an indexed binary min-heap of pooled
+// event slots.
 //
 // Every simulator in this repository — the Periodic Messages model in
 // internal/periodic and the packet-level network simulator in
@@ -44,14 +42,13 @@ type Event struct {
 
 // event is the pooled storage behind an Event handle.
 type event struct {
-	at     Time
-	key    uint64 // logical priority at equal times; 0 for unkeyed events
-	seq    uint64 // insertion order; breaks remaining ties deterministically
-	gen    uint32 // bumped on release; stale handles mismatch
-	index  int32  // heap index or position within bucket, -1 when not queued
-	bucket int32  // calendar backend: physical bucket holding the event
-	fn     func()
-	label  string
+	at    Time
+	key   uint64 // logical priority at equal times; 0 for unkeyed events
+	seq   uint64 // insertion order; breaks remaining ties deterministically
+	gen   uint32 // bumped on release; stale handles mismatch
+	index int32  // heap index, -1 when not queued
+	fn    func()
+	label string
 }
 
 // live reports whether the handle still refers to a pending event.
@@ -111,10 +108,8 @@ type Observer interface {
 type Simulator struct {
 	now       Time
 	pool      []event
-	free      []int32  // recycled pool slots
-	queue     []int32  // BackendHeap: binary min-heap of pool slots
-	cal       calendar // BackendCalendar state
-	backend   Backend
+	free      []int32 // recycled pool slots
+	queue     []int32 // binary min-heap of pool slots
 	seq       uint64
 	processed uint64
 	// lastFired is the timestamp of the most recently executed event
@@ -126,19 +121,13 @@ type Simulator struct {
 	obs       Observer
 }
 
-// New returns a Simulator with the clock at zero, using DefaultBackend.
+// New returns a Simulator with the clock at zero. It panics if
+// ROUTESYNC_DES_BACKEND names a queue other than the heap (see
+// DefaultBackend).
 func New() *Simulator {
-	return NewBackend(DefaultBackend())
+	DefaultBackend()
+	return &Simulator{lastFired: math.Inf(-1)}
 }
-
-// NewBackend returns a Simulator with the clock at zero using the given
-// event-queue backend.
-func NewBackend(b Backend) *Simulator {
-	return &Simulator{backend: b, lastFired: math.Inf(-1)}
-}
-
-// Backend returns the event-queue backend this Simulator runs on.
-func (s *Simulator) Backend() Backend { return s.backend }
 
 // SetObserver installs obs (nil to remove). Observation is off by default.
 func (s *Simulator) SetObserver(obs Observer) { s.obs = obs }
@@ -147,50 +136,29 @@ func (s *Simulator) SetObserver(obs Observer) { s.obs = obs }
 func (s *Simulator) Now() Time { return s.now }
 
 // Pending returns the number of queued events.
-func (s *Simulator) Pending() int {
-	if s.backend == BackendCalendar {
-		return s.cal.size
-	}
-	return len(s.queue)
-}
+func (s *Simulator) Pending() int { return len(s.queue) }
 
-// qPush queues a pooled slot on the active backend.
-func (s *Simulator) qPush(slot int32) {
-	if s.backend == BackendCalendar {
-		s.calPush(slot)
-		return
-	}
+// push queues a pooled slot.
+func (s *Simulator) push(slot int32) {
 	s.queue = append(s.queue, slot)
 	s.siftUp(len(s.queue) - 1)
 }
 
-// qPeek returns the slot of the earliest pending event, -1 when empty.
-func (s *Simulator) qPeek() int32 {
-	if s.backend == BackendCalendar {
-		return s.calPeek()
-	}
+// peek returns the slot of the earliest pending event, -1 when empty.
+func (s *Simulator) peek() int32 {
 	if len(s.queue) == 0 {
 		return -1
 	}
 	return s.queue[0]
 }
 
-// qRemove unqueues a pending slot (it stays pooled; release is separate).
-func (s *Simulator) qRemove(slot int32) {
-	if s.backend == BackendCalendar {
-		s.calRemove(slot)
-		return
-	}
-	s.removeAt(int(s.pool[slot].index))
-}
-
 // Processed returns the number of events executed so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// less orders slots by (time, key, insertion order) — the contract shared
-// by both queue backends. Unkeyed events carry key 0, so programs that
-// never call ScheduleKeyed get pure (time, insertion order) FIFO exactly
-// as before. Keyed events order by their logical key at equal times,
+// less orders slots by (time, key, insertion order) — the queue's firing
+// order. Unkeyed events carry key 0, so programs that never call
+// ScheduleKeyed get pure (time, insertion order) FIFO exactly as before.
+// Keyed events order by their logical key at equal times,
 // which is what makes an ordering reproducible across differently-
 // partitioned simulations: the key is derived from the event's *origin*
 // (who scheduled it), not from when it happened to be inserted into this
@@ -315,7 +283,7 @@ func (s *Simulator) ScheduleKeyed(at Time, key uint64, label string, fn func()) 
 	ev.fn = fn
 	ev.label = label
 	s.seq++
-	s.qPush(slot)
+	s.push(slot)
 	if s.obs != nil {
 		s.obs.EventScheduled(at, s.Pending())
 	}
@@ -337,7 +305,7 @@ func (s *Simulator) AfterKeyed(delay Time, key uint64, label string, fn func()) 
 // the queue is empty. The partitioned runtime uses this to pick the next
 // synchronization window without executing anything.
 func (s *Simulator) NextAt() Time {
-	slot := s.qPeek()
+	slot := s.peek()
 	if slot < 0 {
 		return math.Inf(1)
 	}
@@ -352,7 +320,7 @@ func (s *Simulator) Cancel(e Event) bool {
 		return false
 	}
 	at := ev.at
-	s.qRemove(e.slot)
+	s.removeAt(int(ev.index))
 	s.release(e.slot)
 	if s.obs != nil {
 		s.obs.EventCancelled(at, s.Pending())
@@ -363,11 +331,11 @@ func (s *Simulator) Cancel(e Event) bool {
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It returns false when the queue is empty.
 func (s *Simulator) Step() bool {
-	slot := s.qPeek()
+	slot := s.peek()
 	if slot < 0 {
 		return false
 	}
-	s.qRemove(slot)
+	s.removeAt(0)
 	ev := &s.pool[slot]
 	s.now = ev.at
 	s.lastFired = ev.at
@@ -400,7 +368,7 @@ func (s *Simulator) RunUntil(horizon Time) uint64 {
 
 	var n uint64
 	for !s.stopped {
-		slot := s.qPeek()
+		slot := s.peek()
 		if slot < 0 || s.pool[slot].at > horizon {
 			break
 		}
@@ -436,7 +404,7 @@ func (s *Simulator) RunBefore(horizon Time) uint64 {
 
 	var n uint64
 	for !s.stopped {
-		slot := s.qPeek()
+		slot := s.peek()
 		if slot < 0 || s.pool[slot].at >= horizon {
 			break
 		}

@@ -8,22 +8,20 @@ import (
 )
 
 // Keyed events at the same timestamp must fire in key order regardless of
-// insertion order, on both backends — this is the property the partitioned
+// insertion order — this is the property the partitioned
 // netsim runtime depends on for K-independence.
 func TestKeyedOrderAtEqualTime(t *testing.T) {
-	for _, b := range []Backend{BackendHeap, BackendCalendar} {
-		s := NewBackend(b)
-		var got []uint64
-		// Insert in a scrambled key order.
-		for _, k := range []uint64{7, 2, 9, 1, 5, 3, 8, 4, 6} {
-			k := k
-			s.ScheduleKeyed(10, k, "keyed", func() { got = append(got, k) })
-		}
-		s.Run()
-		for i := 1; i < len(got); i++ {
-			if got[i-1] >= got[i] {
-				t.Fatalf("%v: keyed events out of key order: %v", b, got)
-			}
+	s := New()
+	var got []uint64
+	// Insert in a scrambled key order.
+	for _, k := range []uint64{7, 2, 9, 1, 5, 3, 8, 4, 6} {
+		k := k
+		s.ScheduleKeyed(10, k, "keyed", func() { got = append(got, k) })
+	}
+	s.Run()
+	for i := 1; i < len(got); i++ {
+		if got[i-1] >= got[i] {
+			t.Fatalf("keyed events out of key order: %v", got)
 		}
 	}
 }

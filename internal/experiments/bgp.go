@@ -26,7 +26,7 @@ import (
 // size distributions (p95-to-mean bin ratio), and (c) the length of the
 // path-exploration storm a prefix withdrawal triggers. Runs execute on
 // the conservative parallel engine; all reported metrics are invariant
-// across the partition count K and both DES backends.
+// across the partition count K.
 
 // BGPConfig parameterizes ExtBGP.
 type BGPConfig struct {
@@ -139,11 +139,11 @@ func BuildBGP(ases, k int, mrai float64, jit string, seed int64, horizon float64
 	}
 
 	blockSize := (ases + k - 1) / k
-	// Pinned conservative: the path-vector agents do not register
-	// rollback checkpoints yet, so the optimistic engine (including an
-	// ambient ROUTESYNC_SYNC_MODE=optimistic sweep) must not speculate
-	// through their RIB state. Lifting this needs pathvector (and
-	// linkstate) Checkpointable implementations.
+	// Pinned conservative: the path-vector agents do not checkpoint
+	// their RIB and MRAI state, so pathvector.NewAgent refuses an
+	// optimistic partition, and an ambient ROUTESYNC_SYNC_MODE=optimistic
+	// sweep would otherwise panic here. Lifting this needs pathvector
+	// (and linkstate) Checkpointable implementations.
 	nw.Partition(k, netsim.OwnerByBlock(blockSize, k, k), netsim.WithSyncMode(netsim.SyncConservative))
 
 	sc := &BGPScenario{
@@ -401,8 +401,8 @@ func ExtBGP(cfg BGPConfig) *Result {
 				if sc.ReachFraction(sc.ProbeOrigin) > 0 {
 					censored = ", censored at run end"
 				}
-				// No K, wall time, or backend here: artifacts must be
-				// identical for every -jobs value and both DES backends.
+				// No K or wall time here: artifacts must be identical
+				// for every -jobs value.
 				res.Notef("N=%d %s: round cluster %.0f%%, peak/mean burst %.1f, storm %.1fs (%.2f changes/AS%s), reach(probe) post-withdraw %.0f%%",
 					sc.ASes, tag, 100*cl, br, sl, sc.StormChanges(), censored, 100*sc.ReachFraction(sc.ProbeOrigin))
 			}

@@ -9,8 +9,7 @@ import (
 // — every AS's flush timeline, the storm recorders, and the derived
 // synchronization/burst/storm metrics — is identical for any partition
 // count. This is the property that lets ext_bgp emit Jobs-independent
-// artifacts. CI runs it under -race on both DES backends (the backend is
-// selected by ROUTESYNC_DES_BACKEND).
+// artifacts. CI runs it under -race.
 func TestBGPKInvariant(t *testing.T) {
 	type snap struct {
 		flushes [][]float64

@@ -2,7 +2,7 @@
 // packet-level simulator: link flaps, node crash/reboot cycles, and
 // link-metric changes, injected as first-class keyed DES events so a
 // churned run stays bit-identical to its sequential execution for any
-// partition count, on both DES backends.
+// partition count.
 //
 // Two rules buy that determinism:
 //

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"routesync/internal/des"
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
 	"routesync/internal/routing"
@@ -37,10 +36,9 @@ type routeVal struct {
 // links (partition-crossing for k ≥ 2) and crash/reboot churn on two
 // interior routers, partitioned into k logical processes (k == 0:
 // unpartitioned), with the AoI monitor attached everywhere.
-func runChurnedAS(backend des.Backend, k int) churnSnap {
+func runChurnedAS(k int) churnSnap {
 	const numAS, perAS = 4, 4
 	n := netsim.NewNetwork(23)
-	n.Sim = des.NewBackend(backend)
 	topo := n.BuildTwoLevelAS(netsim.TwoLevelASConfig{
 		NumAS:        numAS,
 		RoutersPerAS: perAS,
@@ -116,11 +114,11 @@ func runChurnedAS(backend des.Backend, k int) churnSnap {
 // TestChurnPartitionDeterminism is the tentpole acceptance property: a
 // run under link flaps and node churn — fault events firing inside
 // parallel windows, crossing partition boundaries — is bit-identical
-// for every partition count on both DES backends, including every
+// for every partition count, including every
 // age-of-information aggregate. Run under -race this also proves the
 // fault layer adds no shared mutable state.
 func TestChurnPartitionDeterminism(t *testing.T) {
-	ref := runChurnedAS(des.BackendHeap, 0)
+	ref := runChurnedAS(0)
 	if ref.counters.Drops[netsim.DropLinkDown] == 0 {
 		t.Fatalf("no link-down drops; flaps are inert: %+v", ref.counters)
 	}
@@ -134,28 +132,26 @@ func TestChurnPartitionDeterminism(t *testing.T) {
 	if ref.resurrect != 0 {
 		t.Fatalf("hold-down violated: %d resurrections", ref.resurrect)
 	}
-	for _, backend := range []des.Backend{des.BackendHeap, des.BackendCalendar} {
-		for _, k := range []int{1, 2, 4} {
-			name := fmt.Sprintf("%v/k=%d", backend, k)
-			got := runChurnedAS(backend, k)
-			if !reflect.DeepEqual(got.counters, ref.counters) {
-				t.Errorf("%s: network counters diverge:\n got %+v\nwant %+v", name, got.counters, ref.counters)
-			}
-			if !reflect.DeepEqual(got.stats, ref.stats) {
-				t.Errorf("%s: agent stats diverge", name)
-			}
-			if !reflect.DeepEqual(got.tables, ref.tables) {
-				t.Errorf("%s: routing tables diverge", name)
-			}
-			if !reflect.DeepEqual(got.outages, ref.outages) {
-				t.Errorf("%s: outage records diverge:\n got %+v\nwant %+v", name, got.outages, ref.outages)
-			}
-			if !reflect.DeepEqual(got.ages, ref.ages) ||
-				!reflect.DeepEqual(got.staleness, ref.staleness) ||
-				!reflect.DeepEqual(got.initial, ref.initial) ||
-				got.avail != ref.avail || got.resurrect != ref.resurrect {
-				t.Errorf("%s: AoI aggregates diverge", name)
-			}
+	for _, k := range []int{1, 2, 4} {
+		name := fmt.Sprintf("k=%d", k)
+		got := runChurnedAS(k)
+		if !reflect.DeepEqual(got.counters, ref.counters) {
+			t.Errorf("%s: network counters diverge:\n got %+v\nwant %+v", name, got.counters, ref.counters)
+		}
+		if !reflect.DeepEqual(got.stats, ref.stats) {
+			t.Errorf("%s: agent stats diverge", name)
+		}
+		if !reflect.DeepEqual(got.tables, ref.tables) {
+			t.Errorf("%s: routing tables diverge", name)
+		}
+		if !reflect.DeepEqual(got.outages, ref.outages) {
+			t.Errorf("%s: outage records diverge:\n got %+v\nwant %+v", name, got.outages, ref.outages)
+		}
+		if !reflect.DeepEqual(got.ages, ref.ages) ||
+			!reflect.DeepEqual(got.staleness, ref.staleness) ||
+			!reflect.DeepEqual(got.initial, ref.initial) ||
+			got.avail != ref.avail || got.resurrect != ref.resurrect {
+			t.Errorf("%s: AoI aggregates diverge", name)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package linkstate
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -287,6 +288,27 @@ func TestAgentValidation(t *testing.T) {
 		}
 	}()
 	a.Start(-1)
+}
+
+// TestAgentRefusesOptimisticPartition: an agent cannot be built on a
+// network partitioned in optimistic mode, since its LSDB would not roll
+// back; the conservative mode still accepts it.
+func TestAgentRefusesOptimisticPartition(t *testing.T) {
+	build := func(mode netsim.SyncMode) *netsim.Node {
+		net := netsim.NewNetwork(8)
+		a, b := net.NewNode("a", nil), net.NewNode("b", nil)
+		net.Connect(a, b, netsim.LinkConfig{Delay: 0.01})
+		net.Partition(2, func(id netsim.NodeID) int { return int(id) }, netsim.WithSyncMode(mode))
+		return a
+	}
+	NewAgent(build(netsim.SyncConservative), Config{RefreshPeriod: 30})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "optimistic") {
+			t.Fatalf("NewAgent on an optimistic partition panicked with %q, want a refusal naming optimistic mode", msg)
+		}
+	}()
+	NewAgent(build(netsim.SyncOptimistic), Config{RefreshPeriod: 30})
 }
 
 // TestLSDBsConvergeIdentically: after a quiet period every router holds

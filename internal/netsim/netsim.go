@@ -243,12 +243,12 @@ type Network struct {
 	parts   []*partition
 	// lookahead is the minimum cross-partition link delay (see Lookahead).
 	lookahead float64
-	// optCfg is the resolved optimistic lease configuration; syncStats
+	// leases is the resolved optimistic lease configuration; syncStats
 	// accumulates per-round synchronization counters (both modes).
 	// syncObs and inlineObs are the SyncObserver and InlineWindowObserver
 	// views of obs, cached at SetObserver so the per-round notification
 	// costs one nil check.
-	optCfg    OptimisticConfig
+	leases    leaseBounds
 	syncStats SyncStats
 	syncObs   SyncObserver
 	inlineObs InlineWindowObserver

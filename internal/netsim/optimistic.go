@@ -52,7 +52,7 @@ import (
 // runPartitioned; a steady-state round allocates nothing (checkpoints
 // reuse per-LP buffers).
 func (n *Network) runOptimistic(horizon float64) {
-	cfg := &n.optCfg
+	leases := &n.leases
 	for {
 		// Round start: the globally earliest pending event.
 		tstart := math.Inf(1)
@@ -137,14 +137,14 @@ func (n *Network) runOptimistic(horizon float64) {
 		// Adapt leases and account the round.
 		for _, p := range n.parts {
 			if p.rolled {
-				p.lease *= cfg.Shrink
-				if p.lease < cfg.MinLease {
-					p.lease = cfg.MinLease
+				p.lease *= leaseShrink
+				if p.lease < leases.min {
+					p.lease = leases.min
 				}
 			} else {
-				p.lease *= cfg.Grow
-				if p.lease > cfg.MaxLease {
-					p.lease = cfg.MaxLease
+				p.lease *= leaseGrow
+				if p.lease > leases.max {
+					p.lease = leases.max
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"routesync/internal/des"
 	"routesync/internal/rng"
 )
 
@@ -13,31 +12,29 @@ import (
 // the speculate/rollback/replay rounds produce results bit-identical to
 // the sequential (unpartitioned) run — same counters, same per-node
 // stats, same delivery timeline with the same packet ids — for every
-// partition count and both queue backends, on the same faulted,
-// CPU-contended scale topology the conservative determinism test uses.
+// partition count, on the same faulted, CPU-contended scale topology the
+// conservative determinism test uses.
 func TestOptimisticDeterminism(t *testing.T) {
-	ref := runScaleTopo(t, des.BackendHeap, 0)
+	ref := runScaleTopo(t, 0)
 	if ref.counters.Delivered == 0 || ref.counters.TotalDropped() == 0 {
 		t.Fatalf("degenerate reference run: %+v", ref.counters)
 	}
-	for _, backend := range []des.Backend{des.BackendHeap, des.BackendCalendar} {
-		for _, k := range []int{1, 2, 4} {
-			name := fmt.Sprintf("%v/k=%d", backend, k)
-			got := runScaleTopo(t, backend, k, WithSyncMode(SyncOptimistic))
-			if !reflect.DeepEqual(got.counters, ref.counters) {
-				t.Errorf("%s: counters diverge:\n got %+v\nwant %+v", name, got.counters, ref.counters)
-			}
-			if !reflect.DeepEqual(got.nodeStats, ref.nodeStats) {
-				for i := range got.nodeStats {
-					if !reflect.DeepEqual(got.nodeStats[i], ref.nodeStats[i]) {
-						t.Errorf("%s: node %d stats diverge:\n got %+v\nwant %+v",
-							name, i, got.nodeStats[i], ref.nodeStats[i])
-					}
+	for _, k := range []int{1, 2, 4} {
+		name := fmt.Sprintf("k=%d", k)
+		got := runScaleTopo(t, k, WithSyncMode(SyncOptimistic))
+		if !reflect.DeepEqual(got.counters, ref.counters) {
+			t.Errorf("%s: counters diverge:\n got %+v\nwant %+v", name, got.counters, ref.counters)
+		}
+		if !reflect.DeepEqual(got.nodeStats, ref.nodeStats) {
+			for i := range got.nodeStats {
+				if !reflect.DeepEqual(got.nodeStats[i], ref.nodeStats[i]) {
+					t.Errorf("%s: node %d stats diverge:\n got %+v\nwant %+v",
+						name, i, got.nodeStats[i], ref.nodeStats[i])
 				}
 			}
-			if !reflect.DeepEqual(got.deliveries, ref.deliveries) {
-				t.Errorf("%s: delivery timelines diverge", name)
-			}
+		}
+		if !reflect.DeepEqual(got.deliveries, ref.deliveries) {
+			t.Errorf("%s: delivery timelines diverge", name)
 		}
 	}
 }

@@ -171,7 +171,7 @@ func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOpti
 	}
 	parts := make([]*partition, k)
 	for i := range parts {
-		sim := des.NewBackend(n.Sim.Backend())
+		sim := des.New()
 		if n.obs != nil {
 			sim.SetObserver(n.obs)
 		}
@@ -242,10 +242,10 @@ func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOpti
 	n.lookahead = lookahead
 	n.syncStats.Mode = po.mode
 	if po.mode == SyncOptimistic {
-		n.optCfg = po.opt.withDefaults(lookahead)
+		n.leases = po.opt.resolve(lookahead)
 		for _, p := range parts {
 			p.pool.track = true
-			p.lease = n.optCfg.InitialLease
+			p.lease = n.leases.initial
 		}
 		if k > 1 {
 			n.initSnapshots()

@@ -5,8 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"routesync/internal/des"
 )
 
 // partitionSnapshot is everything a run observes: global counters,
@@ -28,9 +26,9 @@ type deliveryRecord struct {
 // CBR + bursty traffic pattern crossing domain boundaries, then runs it
 // in several RunUntil slices (exercising leftover boundary events between
 // calls). owner == nil runs unpartitioned.
-func runScaleTopo(t *testing.T, backend des.Backend, k int, opts ...PartitionOption) partitionSnapshot {
+func runScaleTopo(t *testing.T, k int, opts ...PartitionOption) partitionSnapshot {
 	t.Helper()
-	nw := newNetworkBackend(7, backend)
+	nw := NewNetwork(7)
 	const numAS, perAS = 6, 5
 	topo := nw.BuildTwoLevelAS(TwoLevelASConfig{
 		NumAS:        numAS,
@@ -134,20 +132,12 @@ func runScaleTopo(t *testing.T, backend des.Backend, k int, opts ...PartitionOpt
 	return snap
 }
 
-// newNetworkBackend is a test helper constructing a Network on an
-// explicit backend (NewNetwork uses the ambient default).
-func newNetworkBackend(seed int64, b des.Backend) *Network {
-	n := NewNetwork(seed)
-	n.Sim = des.NewBackend(b)
-	return n
-}
-
 // TestPartitionDeterminism is the central property: for every partition
-// count K (including the unpartitioned network) and both queue backends,
-// a run is bit-identical — same counters, same per-node stats, same
-// delivery timeline with the same packet ids.
+// count K, a run is bit-identical to the unpartitioned network — same
+// counters, same per-node stats, same delivery timeline with the same
+// packet ids.
 func TestPartitionDeterminism(t *testing.T) {
-	ref := runScaleTopo(t, des.BackendHeap, 0)
+	ref := runScaleTopo(t, 0)
 	if ref.counters.Delivered == 0 || ref.counters.TotalDropped() == 0 {
 		t.Fatalf("degenerate reference run: %+v", ref.counters)
 	}
@@ -163,27 +153,22 @@ func TestPartitionDeterminism(t *testing.T) {
 	if !found {
 		t.Fatal("no deliveries recorded; test topology is wired wrong")
 	}
-	for _, backend := range []des.Backend{des.BackendHeap, des.BackendCalendar} {
-		for _, k := range []int{0, 1, 2, 3, 6} {
-			if backend == des.BackendHeap && k == 0 {
-				continue // the reference itself
-			}
-			name := fmt.Sprintf("%v/k=%d", backend, k)
-			got := runScaleTopo(t, backend, k)
-			if !reflect.DeepEqual(got.counters, ref.counters) {
-				t.Errorf("%s: counters diverge:\n got %+v\nwant %+v", name, got.counters, ref.counters)
-			}
-			if !reflect.DeepEqual(got.nodeStats, ref.nodeStats) {
-				for i := range got.nodeStats {
-					if !reflect.DeepEqual(got.nodeStats[i], ref.nodeStats[i]) {
-						t.Errorf("%s: node %d stats diverge:\n got %+v\nwant %+v",
-							name, i, got.nodeStats[i], ref.nodeStats[i])
-					}
+	for _, k := range []int{1, 2, 3, 6} {
+		name := fmt.Sprintf("k=%d", k)
+		got := runScaleTopo(t, k)
+		if !reflect.DeepEqual(got.counters, ref.counters) {
+			t.Errorf("%s: counters diverge:\n got %+v\nwant %+v", name, got.counters, ref.counters)
+		}
+		if !reflect.DeepEqual(got.nodeStats, ref.nodeStats) {
+			for i := range got.nodeStats {
+				if !reflect.DeepEqual(got.nodeStats[i], ref.nodeStats[i]) {
+					t.Errorf("%s: node %d stats diverge:\n got %+v\nwant %+v",
+						name, i, got.nodeStats[i], ref.nodeStats[i])
 				}
 			}
-			if !reflect.DeepEqual(got.deliveries, ref.deliveries) {
-				t.Errorf("%s: delivery timelines diverge", name)
-			}
+		}
+		if !reflect.DeepEqual(got.deliveries, ref.deliveries) {
+			t.Errorf("%s: delivery timelines diverge", name)
 		}
 	}
 }

@@ -66,61 +66,53 @@ func DefaultSyncMode() SyncMode {
 	return m
 }
 
-// OptimisticConfig tunes the optimistic coordinator's adaptive lease:
+// OptimisticConfig bounds the optimistic coordinator's adaptive lease:
 // how far past the round's start (the globally earliest pending event,
 // which bounds the eventual commit time from below) each logical process
-// may speculate. The lease shrinks multiplicatively when the LP rolls
-// back and grows when it commits a clean round, so rollback cascades
-// stay bounded (Manita & Simonot's stability regime) while quiet LPs
-// stretch toward the maximum.
-//
-// Zero fields take defaults derived from the topology's lookahead L
-// (or 1 µs when every boundary link is zero-delay): MinLease = L,
-// InitialLease = 64·L, MaxLease = 65536·L, Grow = 2, Shrink = 0.5.
-// MinLease = L makes the floor exactly the conservative window, so a
-// worst-case adversarial straggler schedule degrades to conservative
-// performance rather than below it.
+// may speculate. The lease starts at 64·L, where L is the topology's
+// lookahead (or 1 µs when every boundary link is zero-delay); it halves
+// when the LP rolls back and doubles when it commits a clean round, so
+// rollback cascades stay bounded (Manita & Simonot's stability regime)
+// while quiet LPs stretch toward the maximum. It never drops below L —
+// exactly the conservative window — so a worst-case adversarial
+// straggler schedule degrades to conservative performance rather than
+// below it.
 type OptimisticConfig struct {
-	InitialLease float64
-	MinLease     float64
-	MaxLease     float64
-	Grow         float64
-	Shrink       float64
+	// MaxLease is the hard speculation bound, capping rollback depth and
+	// every speculation buffer's high-water mark. Zero means 65536·L; a
+	// value below L is raised to L.
+	MaxLease float64
 }
 
-// withDefaults resolves zero fields against the topology lookahead.
-func (c OptimisticConfig) withDefaults(lookahead float64) OptimisticConfig {
-	if c.MinLease <= 0 {
-		if lookahead > 0 && !math.IsInf(lookahead, 1) {
-			c.MinLease = lookahead
-		} else {
-			c.MinLease = 1e-6
-		}
+// Lease schedule, in units of the lookahead and per round.
+const (
+	leaseInitialL = 64
+	leaseMaxL     = 65536
+	leaseGrow     = 2
+	leaseShrink   = 0.5
+)
+
+// leaseBounds is an OptimisticConfig resolved against the lookahead.
+type leaseBounds struct {
+	min, initial, max float64
+}
+
+func (c OptimisticConfig) resolve(lookahead float64) leaseBounds {
+	b := leaseBounds{min: 1e-6, max: c.MaxLease}
+	if lookahead > 0 && !math.IsInf(lookahead, 1) {
+		b.min = lookahead
 	}
-	if c.InitialLease <= 0 {
-		c.InitialLease = c.MinLease * 64
+	if b.max <= 0 {
+		b.max = b.min * leaseMaxL
 	}
-	if c.MaxLease <= 0 {
-		c.MaxLease = c.MinLease * 65536
+	if b.max < b.min {
+		b.max = b.min
 	}
-	if c.Grow <= 1 {
-		c.Grow = 2
+	b.initial = b.min * leaseInitialL
+	if b.initial > b.max {
+		b.initial = b.max
 	}
-	if c.Shrink <= 0 || c.Shrink >= 1 {
-		c.Shrink = 0.5
-	}
-	// MaxLease is the hard speculation bound: the initial lease is
-	// clamped into [MinLease, MaxLease] rather than ever widening it.
-	if c.MaxLease < c.MinLease {
-		c.MaxLease = c.MinLease
-	}
-	if c.InitialLease < c.MinLease {
-		c.InitialLease = c.MinLease
-	}
-	if c.InitialLease > c.MaxLease {
-		c.InitialLease = c.MaxLease
-	}
-	return c
+	return b
 }
 
 // partitionOpts collects Partition's optional configuration.
@@ -143,7 +135,7 @@ func WithSyncMode(m SyncMode) PartitionOption {
 }
 
 // WithOptimistic selects optimistic mode with an explicit lease
-// configuration (zero fields still take defaults).
+// configuration.
 func WithOptimistic(cfg OptimisticConfig) PartitionOption {
 	return func(o *partitionOpts) {
 		o.mode = SyncOptimistic

@@ -193,8 +193,14 @@ type Agent struct {
 	OnBestChange func(origin netsim.NodeID, path []netsim.NodeID)
 }
 
-// NewAgent creates an agent on node. Call Start to begin.
+// NewAgent creates an agent on node. Call Start to begin. It panics if
+// the node's network is partitioned in optimistic mode: the agent's
+// adj-RIB-in and MRAI state are not checkpointed, so a rollback could not
+// restore them.
 func NewAgent(node *netsim.Node, cfg Config) *Agent {
+	if node.Net().SyncMode() == netsim.SyncOptimistic {
+		panic("pathvector: optimistic partitions are unsupported (adj-RIB-in and MRAI state are not checkpointed); partition with netsim.WithSyncMode(netsim.SyncConservative)")
+	}
 	if cfg.RefreshPeriod <= 0 {
 		panic("pathvector: refresh period must be positive")
 	}
@@ -719,4 +725,3 @@ func (a *Agent) sweep() {
 		a.flushIdlePeers()
 	}
 }
-

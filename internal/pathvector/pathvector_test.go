@@ -1,6 +1,7 @@
 package pathvector
 
 import (
+	"strings"
 	"testing"
 
 	"routesync/internal/jitter"
@@ -44,6 +45,30 @@ func buildChain(t *testing.T, k int, cfg Config) (*netsim.Network, []*Agent) {
 		a.Start(0.5 + 0.1*float64(i))
 	}
 	return net, agents
+}
+
+// TestAgentRefusesOptimisticPartition: an agent cannot be built on a
+// network partitioned in optimistic mode, since its adj-RIB-in and MRAI
+// state would not roll back; the conservative mode still accepts it.
+func TestAgentRefusesOptimisticPartition(t *testing.T) {
+	build := func(mode netsim.SyncMode) (*netsim.Node, Config) {
+		net := netsim.NewNetwork(8)
+		a, b := net.NewNode("a", nil), net.NewNode("b", nil)
+		link := net.Connect(a, b, netsim.LinkConfig{Delay: 0.01})
+		net.Partition(2, func(id netsim.NodeID) int { return int(id) }, netsim.WithSyncMode(mode))
+		cfg := defaultCfg()
+		cfg.Origins = []netsim.NodeID{a.ID}
+		cfg.Peers = []PeerConfig{{Link: link, Rel: RelCustomer}}
+		return a, cfg
+	}
+	NewAgent(build(netsim.SyncConservative))
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "optimistic") {
+			t.Fatalf("NewAgent on an optimistic partition panicked with %q, want a refusal naming optimistic mode", msg)
+		}
+	}()
+	NewAgent(build(netsim.SyncOptimistic))
 }
 
 func defaultCfg() Config {

@@ -15,24 +15,20 @@ import (
 // measures the engine, not the physics — see bench.PeriodicBenchConfig.
 func BenchmarkStep(b *testing.B) {
 	for _, n := range []int{20, 100, 1000} {
-		for _, ref := range []bool{false, true} {
-			name := fmt.Sprintf("N=%d/heap", n)
-			if ref {
-				name = fmt.Sprintf("N=%d/reference", n)
-			}
-			b.Run(name, func(b *testing.B) {
-				tp := 6.05 * float64(n)
-				s := New(Config{
-					N:      n,
-					Tc:     0.11,
-					Jitter: jitter.Uniform{Tp: tp, Tr: tp / 20},
-					Seed:   1,
-				})
-				s.ref = ref
+		tp := 6.05 * float64(n)
+		cfg := Config{
+			N:      n,
+			Tc:     0.11,
+			Jitter: jitter.Uniform{Tp: tp, Tr: tp / 20},
+			Seed:   1,
+		}
+		for _, g := range []func(Config) named{heapEngine, refEngine} {
+			s := g(cfg)
+			b.Run(fmt.Sprintf("N=%d/%s", n, s.name), func(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s.Step()
+					s.e.Step()
 				}
 			})
 		}

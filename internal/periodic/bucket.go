@@ -1,44 +1,15 @@
 package periodic
 
 import (
-	"fmt"
 	"math"
 
 	"routesync/internal/cluster"
 )
 
-// Engine selects the Step implementation behind a System.
-type Engine int
-
-const (
-	// EngineAuto picks the bucket engine for N >= bucketEngineMinN and
-	// the heap engine below it — the heap's cache-friendly constant wins
-	// at small N, the bucket engine's O(k) coupling scan at large N.
-	EngineAuto Engine = iota
-	// EngineHeap is the indexed binary heap keyed by (expiry, id).
-	EngineHeap
-	// EngineBucket is the structure-of-arrays large-N engine: flat expiry
-	// and day arrays, bucketed next-expiry lookup via intrusive linked
-	// lists, O(k) work per cluster firing amortized over a round.
-	EngineBucket
-)
-
-// String returns the engine name.
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineHeap:
-		return "heap"
-	case EngineBucket:
-		return "bucket"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// bucketEngineMinN is the population size at which EngineAuto switches
-// from the heap to the bucket engine.
+// bucketEngineMinN is the population size at which New switches from the
+// heap engine to the bucket engine. The heap's cache-friendly constant
+// wins below it, the bucket engine's O(k) coupling scan above it; both
+// replay bit-identically, so the threshold affects only speed.
 const bucketEngineMinN = 4096
 
 // bucketMaxVB caps day indices so arithmetic on far-future expiries
@@ -78,7 +49,7 @@ func (b *bucketState) bvbFor(e float64) int64 {
 
 // bucketInit sizes the engine for cfg.N routers. Bucket count 2N at day
 // width Tp/N + Tc covers more than a full period plus a saturated busy
-// window, so pending days can never alias within one calendar cycle.
+// window, so pending days can never alias within one pass of the ring.
 func (s *System) bucketInit() {
 	b := &s.bucket
 	nb := 1
@@ -202,15 +173,17 @@ func (s *System) sortCand(lo, hi int) {
 	}
 }
 
-// stepBucket is the bucket engine's Step. It walks days forward from the
-// cached minimum's day, gathering and sorting each day's candidates, and
-// runs the identical admission loop — the same floating-point window
-// expression, the same (expiry, id) order, the same RNG call order — as
-// the heap engine, so the two replay bit-identically. Per round the day
+// popBucket is the bucket engine's half of Step: it unlinks the next
+// cluster into s.members and returns its start time, its size and the
+// earliest expiry left pending (+Inf when every router fired). It walks
+// days forward from the cached minimum's day, gathering and sorting each
+// day's candidates, and runs the same admission loop as popHeap — the
+// same floating-point window expression over the same (expiry, id)
+// order — so the two engines replay bit-identically. Per round the day
 // cursor advances about one period, i.e. about N days of O(1) checks for
 // N member firings: O(k) amortized per cluster against the heap's
 // O(k log N).
-func (s *System) stepBucket() Event {
+func (s *System) popBucket() (t float64, k int, frontier float64) {
 	b := &s.bucket
 	day := b.cur
 	s.bucketGather(day)
@@ -223,10 +196,10 @@ func (s *System) stepBucket() Event {
 	id := b.cand[ci]
 	ci++
 	s.bucketUnlink(id)
-	t := s.expiry[id]
+	t = s.expiry[id]
 	s.members[0] = cluster.Member{ID: int(id), Expiry: t}
-	k := 1
-	frontier := math.Inf(1)
+	k = 1
+	frontier = math.Inf(1)
 	for k < s.cfg.N {
 		if ci == len(b.cand) {
 			day++
@@ -246,49 +219,5 @@ func (s *System) stepBucket() Event {
 		frontier = e
 		break
 	}
-
-	end := t + float64(k)*s.cfg.Tc
-	s.now = end
-	ev := Event{
-		Start:    t,
-		End:      end,
-		Members:  s.evMembers[:k],
-		Expiries: s.evExpiries[:k],
-	}
-	rearmMin := math.Inf(1)
-	for i := 0; i < k; i++ {
-		m := s.members[i]
-		ev.Members[i] = m.ID
-		ev.Expiries[i] = m.Expiry
-		delay := s.cfg.Jitter.Delay(s.r, m.ID)
-		var next float64
-		switch s.cfg.Reset {
-		case ResetOnExpiry:
-			next = m.Expiry + delay
-			if next < end {
-				next = end
-			}
-		default: // ResetAfterProcessing, the paper's rule
-			next = end + delay
-		}
-		s.expiry[m.ID] = next
-		s.bucketLink(int32(m.ID))
-		if next < rearmMin {
-			rearmMin = next
-		}
-	}
-	ev.Next = frontier
-	if rearmMin < ev.Next {
-		ev.Next = rearmMin
-	}
-	b.min = ev.Next
-	b.cur = b.bvbFor(ev.Next)
-	s.steps++
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.RoundCompleted(s.now, k)
-	}
-	for _, fn := range s.onEvent {
-		fn(ev)
-	}
-	return ev
+	return t, k, frontier
 }

@@ -94,10 +94,6 @@ type Config struct {
 	// Seed drives all randomness. Two runs with equal Config replay
 	// identically.
 	Seed int64
-	// Engine selects the Step implementation. The zero value (EngineAuto)
-	// picks by N; the choice never affects results, only speed — all
-	// engines replay bit-identically.
-	Engine Engine
 	// Observer, when non-nil, is notified after every cluster firing.
 	// Unlike OnEvent callbacks it receives only scalars, so counting
 	// rounds costs no allocations. Nil (the default) costs one branch.
@@ -179,20 +175,22 @@ type System struct {
 	evMembers  []int
 	evExpiries []float64
 	// useBucket routes Step through the structure-of-arrays bucket
-	// engine; bucket holds its state.
+	// engine (N >= bucketEngineMinN); bucket holds its state.
 	useBucket bool
 	bucket    bucketState
-	// ref switches Step to the original sort-based engine
-	// (cluster.Grow over the full expiry set). The heap engine is
-	// differential-tested against it; it is settable only from
-	// package-internal tests.
-	ref bool
 }
 
 // New constructs a System from cfg. It panics on invalid configuration:
 // N < 1, Tc < 0, nil Jitter, or a jitter policy whose mean period does not
 // exceed N·Tc (the network would spend all its time processing updates).
 func New(cfg Config) *System {
+	return newSystem(cfg, cfg.N >= bucketEngineMinN)
+}
+
+// newSystem is New with the Step engine chosen by the caller: the bucket
+// engine when useBucket is set, the heap engine otherwise. Tests use it to
+// run either engine at any N.
+func newSystem(cfg Config, useBucket bool) *System {
 	if cfg.N < 1 {
 		panic("periodic: need at least one router")
 	}
@@ -213,9 +211,8 @@ func New(cfg Config) *System {
 		analysis:   make([]cluster.Member, cfg.N),
 		evMembers:  make([]int, cfg.N),
 		evExpiries: make([]float64, cfg.N),
+		useBucket:  useBucket,
 	}
-	s.useBucket = cfg.Engine == EngineBucket ||
-		(cfg.Engine == EngineAuto && cfg.N >= bucketEngineMinN)
 	if s.useBucket {
 		s.bucketInit()
 	} else {
@@ -252,19 +249,10 @@ func (s *System) Now() float64 { return s.now }
 // Steps returns the number of cluster events processed.
 func (s *System) Steps() uint64 { return s.steps }
 
-// NextExpiry returns the earliest pending timer expiration. With the heap
-// engine this is an O(1) peek; callers inside run loops can avoid even
-// that by reading Event.Next from the previous Step.
+// NextExpiry returns the earliest pending timer expiration, an O(1) peek
+// on either engine; callers inside run loops can avoid even that by
+// reading Event.Next from the previous Step.
 func (s *System) NextExpiry() float64 {
-	if s.ref {
-		min := math.Inf(1)
-		for _, e := range s.expiry {
-			if e < min {
-				min = e
-			}
-		}
-		return min
-	}
 	if s.useBucket {
 		return s.bucket.min
 	}
@@ -304,30 +292,20 @@ func (s *System) TriggerUpdate() {
 	s.rebuild()
 }
 
-// Step processes the next cluster firing and returns it.
+// Step processes the next cluster firing and returns it. The active
+// engine pops the cluster — k routers starting at t, left in s.members in
+// (expiry, id) order and removed from the engine's index, with frontier
+// the earliest expiry still indexed. The rest is shared: Step closes the
+// busy window, re-arms each member in that order (so the RNG draws are
+// engine-independent), puts it back in the index, and notifies the
+// Observer and the OnEvent callbacks.
 func (s *System) Step() Event {
-	if s.ref {
-		return s.stepReference()
-	}
+	var t, frontier float64
+	var k int
 	if s.useBucket {
-		return s.stepBucket()
-	}
-	// Pop the cluster off the heap. The heap yields routers in
-	// (expiry, id) order, so the admission loop sees exactly the sorted
-	// prefix cluster.Grow would, and the window test below is the same
-	// floating-point expression — the two engines replay bit-identically.
-	head := s.heapPop()
-	t := s.expiry[head]
-	s.members[0] = cluster.Member{ID: int(head), Expiry: t}
-	k := 1
-	for len(s.heap) > 0 {
-		e := s.expiry[s.heap[0]]
-		if e < t+float64(k)*s.cfg.Tc || e == t {
-			s.members[k] = cluster.Member{ID: int(s.heapPop()), Expiry: e}
-			k++
-			continue
-		}
-		break
+		t, k, frontier = s.popBucket()
+	} else {
+		t, k, frontier = s.popHeap()
 	}
 	end := t + float64(k)*s.cfg.Tc
 	s.now = end
@@ -336,6 +314,7 @@ func (s *System) Step() Event {
 		End:      end,
 		Members:  s.evMembers[:k],
 		Expiries: s.evExpiries[:k],
+		Next:     frontier,
 	}
 	for i := 0; i < k; i++ {
 		m := s.members[i]
@@ -355,59 +334,22 @@ func (s *System) Step() Event {
 			next = end + delay
 		}
 		s.expiry[m.ID] = next
-		s.heapPush(int32(m.ID))
+		if s.useBucket {
+			s.bucketLink(int32(m.ID))
+		} else {
+			s.heapPush(int32(m.ID))
+		}
+		if next < ev.Next {
+			ev.Next = next
+		}
 	}
-	ev.Next = s.expiry[s.heap[0]]
+	if s.useBucket {
+		s.bucket.min = ev.Next
+		s.bucket.cur = s.bucket.bvbFor(ev.Next)
+	}
 	s.steps++
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.RoundCompleted(s.now, k)
-	}
-	for _, fn := range s.onEvent {
-		fn(ev)
-	}
-	return ev
-}
-
-// stepReference is the original sort-based Step: rebuild the full member
-// set and apply cluster.Grow. It is kept as the executable specification
-// the heap engine is differential-tested against.
-func (s *System) stepReference() Event {
-	for i := range s.members {
-		s.members[i] = cluster.Member{ID: i, Expiry: s.expiry[i]}
-	}
-	c := cluster.Grow(s.members, s.cfg.Tc)
-	s.now = c.End
-	ev := Event{
-		Start:    c.Start,
-		End:      c.End,
-		Members:  s.evMembers[:c.Size()],
-		Expiries: s.evExpiries[:c.Size()],
-	}
-	for i, m := range c.Members {
-		ev.Members[i] = m.ID
-		ev.Expiries[i] = m.Expiry
-		delay := s.cfg.Jitter.Delay(s.r, m.ID)
-		var next float64
-		switch s.cfg.Reset {
-		case ResetOnExpiry:
-			next = m.Expiry + delay
-			if next < c.End {
-				next = c.End
-			}
-		default: // ResetAfterProcessing, the paper's rule
-			next = c.End + delay
-		}
-		s.expiry[m.ID] = next
-	}
-	ev.Next = math.Inf(1)
-	for _, e := range s.expiry {
-		if e < ev.Next {
-			ev.Next = e
-		}
-	}
-	s.steps++
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.RoundCompleted(s.now, c.Size())
 	}
 	for _, fn := range s.onEvent {
 		fn(ev)
@@ -432,6 +374,29 @@ func (s *System) RunUntil(horizon float64) uint64 {
 // "the time mod T, for T = Tp + Tc").
 func (s *System) RoundWindow() float64 {
 	return s.cfg.Jitter.Mean() + s.cfg.Tc
+}
+
+// popHeap is the heap engine's half of Step: it pops the next cluster into
+// s.members and returns its start time, its size and the earliest expiry
+// left pending (+Inf when every router fired). The heap yields routers
+// in (expiry, id) order, so the admission loop sees exactly the sorted
+// prefix cluster.Grow would, and the window test is the same
+// floating-point expression.
+func (s *System) popHeap() (t float64, k int, frontier float64) {
+	head := s.heapPop()
+	t = s.expiry[head]
+	s.members[0] = cluster.Member{ID: int(head), Expiry: t}
+	k = 1
+	for len(s.heap) > 0 {
+		e := s.expiry[s.heap[0]]
+		if e < t+float64(k)*s.cfg.Tc || e == t {
+			s.members[k] = cluster.Member{ID: int(s.heapPop()), Expiry: e}
+			k++
+			continue
+		}
+		return t, k, e
+	}
+	return t, k, math.Inf(1)
 }
 
 // heapLess reports whether router a's timer fires before router b's:

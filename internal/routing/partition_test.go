@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"routesync/internal/des"
 	"routesync/internal/jitter"
 	"routesync/internal/netsim"
 )
@@ -30,10 +29,9 @@ type routeVal struct {
 // runRoutingAS runs RIP agents on a 4×4 two-level AS topology with a
 // mid-run inter-domain link failure, partitioned into k logical processes
 // (k == 0: unpartitioned), and snapshots the outcome.
-func runRoutingAS(backend des.Backend, k int) routingPartitionSnap {
+func runRoutingAS(k int) routingPartitionSnap {
 	const numAS, perAS = 4, 4
 	n := netsim.NewNetwork(91)
-	n.Sim = des.NewBackend(backend)
 	topo := n.BuildTwoLevelAS(netsim.TwoLevelASConfig{
 		NumAS:        numAS,
 		RoutersPerAS: perAS,
@@ -108,10 +106,10 @@ func linkBetween(a, b *netsim.Node) *netsim.Link {
 // TestPartitionDeterminismRouting is the CI determinism gate: a full
 // routing-protocol run (periodic updates, triggered updates after a
 // backbone failure, CPU contention) is bit-identical across partition
-// counts and DES backends. Run under -race this also exercises the
-// parallel engine for data races.
+// counts. Run under -race this also exercises the parallel engine for
+// data races.
 func TestPartitionDeterminismRouting(t *testing.T) {
-	ref := runRoutingAS(des.BackendHeap, 0)
+	ref := runRoutingAS(0)
 	var updatesIn uint64
 	for _, s := range ref.stats {
 		updatesIn += s.Received
@@ -130,22 +128,20 @@ func TestPartitionDeterminismRouting(t *testing.T) {
 	if !sawTriggered {
 		t.Fatal("no triggered updates; the failure scenario is inert")
 	}
-	for _, backend := range []des.Backend{des.BackendHeap, des.BackendCalendar} {
-		for _, k := range []int{1, 2, 4} {
-			name := fmt.Sprintf("%v/k=%d", backend, k)
-			got := runRoutingAS(backend, k)
-			if !reflect.DeepEqual(got.counters, ref.counters) {
-				t.Errorf("%s: network counters diverge:\n got %+v\nwant %+v", name, got.counters, ref.counters)
-			}
-			if !reflect.DeepEqual(got.stats, ref.stats) {
-				t.Errorf("%s: agent stats diverge", name)
-			}
-			if !reflect.DeepEqual(got.tables, ref.tables) {
-				t.Errorf("%s: routing tables diverge", name)
-			}
-			if !reflect.DeepEqual(got.sends, ref.sends) {
-				t.Errorf("%s: send timelines diverge", name)
-			}
+	for _, k := range []int{1, 2, 4} {
+		name := fmt.Sprintf("k=%d", k)
+		got := runRoutingAS(k)
+		if !reflect.DeepEqual(got.counters, ref.counters) {
+			t.Errorf("%s: network counters diverge:\n got %+v\nwant %+v", name, got.counters, ref.counters)
+		}
+		if !reflect.DeepEqual(got.stats, ref.stats) {
+			t.Errorf("%s: agent stats diverge", name)
+		}
+		if !reflect.DeepEqual(got.tables, ref.tables) {
+			t.Errorf("%s: routing tables diverge", name)
+		}
+		if !reflect.DeepEqual(got.sends, ref.sends) {
+			t.Errorf("%s: send timelines diverge", name)
 		}
 	}
 }

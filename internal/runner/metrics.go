@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"routesync/internal/des"
 )
 
 // Metrics accumulates engine observer notifications for one experiment
@@ -102,14 +100,9 @@ type MetricsSnapshot struct {
 	EventsFired     uint64 `json:"events_fired,omitempty"`
 	EventsCancelled uint64 `json:"events_cancelled,omitempty"`
 	// EventQueuePeakDepth is the deepest the DES event queue got across
-	// every engine this experiment ran, whichever queue backend held it.
+	// every engine this experiment ran.
 	EventQueuePeakDepth int64  `json:"event_queue_peak_depth,omitempty"`
 	RoundsCompleted     uint64 `json:"rounds_completed,omitempty"`
-	// DESBackend records which event-queue backend the run's DES kernels
-	// used (heap or calendar), so a manifest diff can attribute a timing
-	// shift to a backend switch. Empty when the experiment scheduled no
-	// DES events.
-	DESBackend string `json:"des_backend,omitempty"`
 	// SyncWindows counts partition coordination rounds (conservative
 	// windows or optimistic commit rounds); SyncWindowsInline those of
 	// them the coordinator ran itself because at most one LP had work;
@@ -145,9 +138,6 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 	}
 	if *s == (MetricsSnapshot{}) {
 		return nil
-	}
-	if s.EventsScheduled > 0 {
-		s.DESBackend = des.DefaultBackend().String()
 	}
 	return s
 }

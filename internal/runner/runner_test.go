@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"routesync/internal/des"
 	"routesync/internal/netsim"
 )
 
@@ -369,17 +368,15 @@ func TestMetricsSnapshot(t *testing.T) {
 		s.EventsCancelled != 1 || s.EventQueuePeakDepth != 5 || s.RoundsCompleted != 1 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-	if s.DESBackend != des.DefaultBackend().String() {
-		t.Fatalf("DESBackend = %q, want %q", s.DESBackend, des.DefaultBackend().String())
-	}
 	if p := m.progress(); p != "1 rounds, 1 events" {
 		t.Fatalf("progress = %q", p)
 	}
-	// An experiment that never touched the DES kernel records no backend.
+	// An experiment that never touched the DES kernel still records its
+	// rounds.
 	rounds := &Metrics{}
 	rounds.RoundCompleted(1.0, 3)
-	if s := rounds.Snapshot(); s == nil || s.DESBackend != "" {
-		t.Fatalf("rounds-only snapshot = %+v, want empty DESBackend", s)
+	if s := rounds.Snapshot(); s == nil || s.RoundsCompleted != 1 || s.EventsScheduled != 0 {
+		t.Fatalf("rounds-only snapshot = %+v, want one round and no events", s)
 	}
 }
 
