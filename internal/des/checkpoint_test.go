@@ -61,21 +61,23 @@ func (p *ckpProgram) op(kind, a, b int64) {
 // state must match exactly — rewinding plus resuming is bit-identical to
 // never having speculated.
 func TestCheckpointRewindDifferential(t *testing.T) {
-	for trial := 0; trial < 60; trial++ {
-		seed := int64(trial + 1)
-		refLog := runCkpTrial(t, seed, false)
-		specLog := runCkpTrial(t, seed, true)
-		if len(refLog) != len(specLog) {
-			t.Fatalf("seed %d: fired %d events with speculation, %d without",
-				seed, len(specLog), len(refLog))
-		}
-		for i := range refLog {
-			if refLog[i] != specLog[i] {
-				t.Fatalf("seed %d: ckpFiring %d diverged: %+v vs %+v",
-					seed, i, refLog[i], specLog[i])
+	t.Run(BackendHeap.String(), func(t *testing.T) {
+		for trial := 0; trial < 60; trial++ {
+			seed := int64(trial + 1)
+			refLog := runCkpTrial(t, seed, false)
+			specLog := runCkpTrial(t, seed, true)
+			if len(refLog) != len(specLog) {
+				t.Fatalf("seed %d: fired %d events with speculation, %d without",
+					seed, len(specLog), len(refLog))
+			}
+			for i := range refLog {
+				if refLog[i] != specLog[i] {
+					t.Fatalf("seed %d: ckpFiring %d diverged: %+v vs %+v",
+						seed, i, refLog[i], specLog[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 // runCkpTrial executes one random program and returns its ckpFiring log.
@@ -135,41 +137,43 @@ func runCkpTrial(t *testing.T, seed int64, speculate bool) []ckpFiring {
 // speculation; a handle taken during speculation is stale after the
 // rewind.
 func TestCheckpointHandleValidity(t *testing.T) {
-	sim := New()
-	fired := 0
-	committed := sim.Schedule(5, "committed", func() { fired++ })
-	cp := &Checkpoint{}
-	sim.Save(cp)
+	t.Run(BackendHeap.String(), func(t *testing.T) {
+		sim := New()
+		fired := 0
+		committed := sim.Schedule(5, "committed", func() { fired++ })
+		cp := &Checkpoint{}
+		sim.Save(cp)
 
-	// Speculate: fire the committed event, recycle its slot.
-	specEv := sim.Schedule(7, "spec", func() {})
-	sim.RunUntil(6)
-	if committed.Scheduled() {
-		t.Fatal("committed event still scheduled after ckpFiring")
-	}
-	reused := sim.Schedule(9, "reuse", func() {}) // likely reuses the freed slot
+		// Speculate: fire the committed event, recycle its slot.
+		specEv := sim.Schedule(7, "spec", func() {})
+		sim.RunUntil(6)
+		if committed.Scheduled() {
+			t.Fatal("committed event still scheduled after ckpFiring")
+		}
+		reused := sim.Schedule(9, "reuse", func() {}) // likely reuses the freed slot
 
-	sim.Rewind(cp)
-	if fired != 1 {
-		t.Fatalf("speculation fired %d events, want 1", fired)
-	}
-	if !committed.Scheduled() {
-		t.Fatal("committed handle must be valid again after rewind")
-	}
-	if committed.At() != 5 || committed.Label() != "committed" {
-		t.Fatalf("restored event = (%v, %q), want (5, committed)", committed.At(), committed.Label())
-	}
-	if specEv.Scheduled() || reused.Scheduled() {
-		t.Fatal("handles taken during speculation must be stale after rewind")
-	}
-	if sim.Cancel(specEv) || sim.Cancel(reused) {
-		t.Fatal("cancelling a speculative handle after rewind must be a no-op")
-	}
-	// Replay: the committed event fires again, exactly once.
-	sim.Run()
-	if fired != 2 {
-		t.Fatalf("replay fired %d total, want 2", fired)
-	}
+		sim.Rewind(cp)
+		if fired != 1 {
+			t.Fatalf("speculation fired %d events, want 1", fired)
+		}
+		if !committed.Scheduled() {
+			t.Fatal("committed handle must be valid again after rewind")
+		}
+		if committed.At() != 5 || committed.Label() != "committed" {
+			t.Fatalf("restored event = (%v, %q), want (5, committed)", committed.At(), committed.Label())
+		}
+		if specEv.Scheduled() || reused.Scheduled() {
+			t.Fatal("handles taken during speculation must be stale after rewind")
+		}
+		if sim.Cancel(specEv) || sim.Cancel(reused) {
+			t.Fatal("cancelling a speculative handle after rewind must be a no-op")
+		}
+		// Replay: the committed event fires again, exactly once.
+		sim.Run()
+		if fired != 2 {
+			t.Fatalf("replay fired %d total, want 2", fired)
+		}
+	})
 }
 
 // TestSyncClock exercises the bidirectional clock move and its guards.
