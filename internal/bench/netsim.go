@@ -107,11 +107,11 @@ func NetsimChurn(b *testing.B, k int) {
 // scenario — broadcast segments joined by 100 µs bridges, the lookahead
 // regime where conservative windowing degenerates — under the given
 // synchronization mode on k logical processes. The conservative/optimistic
-// ns/op pair at K=4 in BENCH_*.json is the Time-Warp engine's payoff on
-// this topology; the optimistic rows exercise checkpoint saves, rollback
-// replay and serial-instant commits every window, all on warm pools at
-// 0 allocs/op (snapshot buffers, outboxes and the packet pool reach their
-// high-water marks during the untimed warmup).
+// ns/op pair at K=4 in BENCH_*.json compares the two modes on this
+// topology (so far optimistic is the slower); the optimistic rows
+// exercise checkpoint saves and rollback replay in most rounds, all on
+// warm pools at 0 allocs/op (snapshot buffers, outboxes and the packet
+// pool reach their high-water marks during the untimed warmup).
 func NetsimLowLookahead(b *testing.B, mode netsim.SyncMode, k int) {
 	const horizon, warmup = 1400.0, 600.0
 	build := func() *experiments.MetroLANScenario {

@@ -142,27 +142,14 @@ func (s *Simulator) Rewind(cp *Checkpoint) {
 }
 
 // LastFired returns the timestamp of the most recently executed event, or
-// -Inf if no event has fired. The optimistic coordinator compares it
+// -Inf if no event has fired. The partition coordinator compares it
 // against the commit bound to decide whether a logical process ran past
 // the bound and must roll back.
 func (s *Simulator) LastFired() Time { return s.lastFired }
 
-// NextOrd returns the (time, key) ordering coordinates of the earliest
-// pending event. ok is false when the queue is empty. Together with
-// globally unique keys this lets a coordinator pick the globally minimal
-// event across several simulators without executing anything.
-func (s *Simulator) NextOrd() (at Time, key uint64, ok bool) {
-	slot := s.peek()
-	if slot < 0 {
-		return 0, 0, false
-	}
-	ev := &s.pool[slot]
-	return ev.at, ev.key, true
-}
-
 // SyncClock moves the clock to t without executing anything — in either
 // direction, provided the move crosses no event: no event fired after t
-// and no event is pending before t. The optimistic coordinator uses it at
+// and no event is pending before t. The partition coordinator uses it at
 // a barrier to park every logical process exactly at the commit bound
 // (speculative clocks regress to it; lagging clocks advance to it), so
 // arrivals exchanged at the barrier can never land in any simulator's

@@ -211,20 +211,6 @@ func TestSyncClock(t *testing.T) {
 	sim.SyncClock(10) // exactly at the last fired event is legal
 }
 
-// TestNextOrd checks the ordering-coordinate accessor.
-func TestNextOrd(t *testing.T) {
-	sim := New()
-	if _, _, ok := sim.NextOrd(); ok {
-		t.Fatal("NextOrd on empty queue must report !ok")
-	}
-	sim.ScheduleKeyed(5, 7, "late", func() {})
-	sim.ScheduleKeyed(3, 9, "early", func() {})
-	at, key, ok := sim.NextOrd()
-	if !ok || at != 3 || key != 9 {
-		t.Fatalf("NextOrd = (%v, %d, %v), want (3, 9, true)", at, key, ok)
-	}
-}
-
 // TestCheckpointSteadyStateAllocs verifies that a save/speculate/rewind
 // round allocates nothing once the checkpoint buffers are warm — the
 // contract behind the optimistic mode's 0 allocs/op bench gate.

@@ -15,9 +15,9 @@ import (
 // cross-segment traffic. Conservative runs take a window per 100 µs of
 // progress near every event cluster, but in nearly all of them only one
 // LP has events, and the coordinator runs those windows itself without
-// waking the workers; the optimistic engine's adaptive leases stretch
-// toward the real traffic gap and commit the same events in a tiny
-// fraction of the rounds. The benchmark harness
+// waking the workers; optimistic leases stretch toward the real traffic
+// gap and commit the same events in a tiny fraction of the rounds, but
+// checkpointing every round makes them slower in wall time. The benchmark harness
 // (internal/bench.NetsimLowLookahead → out/BENCH_*.json) times this
 // build under both modes; the determinism and window-ratio properties
 // are tested in internal/netsim and internal/experiments.
@@ -69,15 +69,13 @@ func BuildMetroLAN(segments, perSeg, k int, seed int64, horizon float64, obs des
 		HostsPerSeg: perSeg,
 		CPU:         &netsim.CPUConfig{Mode: netsim.CPUModeLegacy, InputQueueCap: 4},
 	})
-	// Cap the optimistic lease at half a second: cross-segment traffic
-	// (pings at ~1 s, routing updates every 2.5–7.5 s across many
-	// gateways) rarely leaves longer quiet gaps, so the cap costs no
-	// rounds while bounding rollback depth and every speculation
-	// buffer's high-water mark. Callers' opts can still override it.
-	popts := append([]netsim.PartitionOption{
-		netsim.WithOptimisticConfig(netsim.OptimisticConfig{MaxLease: 0.5}),
-	}, opts...)
-	nw.Partition(k, netsim.OwnerByBlock(perSeg, segments, k), popts...)
+	// An optimistic lease is capped at 5000 lookaheads, which on the
+	// 100 µs bridges is half a second: cross-segment traffic (pings at
+	// ~1 s, routing updates every 2.5–7.5 s across many gateways) rarely
+	// leaves longer quiet gaps, so the cap costs few rounds while
+	// bounding rollback depth and every speculation buffer's high-water
+	// mark.
+	nw.Partition(k, netsim.OwnerByBlock(perSeg, segments, k), opts...)
 
 	sc := &MetroLANScenario{
 		Net:        nw,

@@ -42,7 +42,10 @@ func runMetroLAN(seg, per, k int, horizon float64, opts ...netsim.PartitionOptio
 // TestMetroLANKInvariant is the determinism gate for the low-lookahead
 // scenario: conservative and optimistic runs at every partition count are
 // bit-identical to the sequential reference — ping RTT timeline, network
-// counters, every agent's protocol statistics and routing table.
+// counters, every agent's protocol statistics and routing table. Both
+// modes share one round loop, so at K > 1 both must also run some rounds
+// on the coordinator (only one LP had work), checkpoint and rollback
+// included in optimistic mode.
 func TestMetroLANKInvariant(t *testing.T) {
 	const seg, per = 8, 6
 	const horizon = 15.0
@@ -59,6 +62,9 @@ func TestMetroLANKInvariant(t *testing.T) {
 				got, stats := runMetroLAN(seg, per, k, horizon, netsim.WithSyncMode(mode))
 				if stats.Mode != mode {
 					t.Fatalf("mode = %v", stats.Mode)
+				}
+				if k > 1 && stats.InlineWindows == 0 {
+					t.Errorf("no inline rounds in %d rounds", stats.Windows)
 				}
 				if !reflect.DeepEqual(got.counters, ref.counters) {
 					t.Errorf("counters diverge:\n got %+v\nwant %+v", got.counters, ref.counters)

@@ -94,12 +94,9 @@ type Agent struct {
 
 // NewAgent creates an agent on node. Call Start to begin originating. It
 // panics if the node's network is partitioned in optimistic mode: the
-// agent's link-state database is not checkpointed, so a rollback could
-// not restore it.
+// agent's link-state database has no rollback hooks, so the kernel
+// refuses it.
 func NewAgent(node *netsim.Node, cfg Config) *Agent {
-	if node.Net().SyncMode() == netsim.SyncOptimistic {
-		panic("linkstate: optimistic partitions are unsupported (the LSDB is not checkpointed); partition with netsim.WithSyncMode(netsim.SyncConservative)")
-	}
 	if cfg.RefreshPeriod <= 0 {
 		panic("linkstate: refresh period must be positive")
 	}

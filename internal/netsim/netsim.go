@@ -243,8 +243,8 @@ type Network struct {
 	parts   []*partition
 	// lookahead is the minimum cross-partition link delay (see Lookahead).
 	lookahead float64
-	// leases is the resolved optimistic lease configuration; syncStats
-	// accumulates per-round synchronization counters (both modes).
+	// leases is the lease schedule resolved against the lookahead;
+	// syncStats accumulates per-round synchronization counters.
 	// syncObs and inlineObs are the SyncObserver and InlineWindowObserver
 	// views of obs, cached at SetObserver so the per-round notification
 	// costs one nil check.
@@ -431,8 +431,8 @@ func (n *Network) Now() float64 {
 }
 
 // RunUntil advances the simulation to the horizon: sequentially on the
-// root simulator, or — after Partition — by conservative bounded-window
-// parallel execution across the partitions.
+// root simulator, or — after Partition — in synchronized rounds across
+// the partitions, conservative or optimistic (see partition.go).
 func (n *Network) RunUntil(t float64) {
 	if len(n.parts) > 0 {
 		n.runPartitioned(t)

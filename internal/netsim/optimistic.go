@@ -1,218 +1,11 @@
 package netsim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// This file implements optimistic (Time-Warp-style) parallel execution.
-// Where the conservative coordinator (partition.go) holds every logical
-// process inside a lookahead-bounded window, the optimistic one lets each
-// LP speculate up to an adaptive lease past the round start, then commits
-// the prefix no straggler can reach and rolls back only the LPs that
-// overshot it:
-//
-//  1. Round start: t_start is the globally earliest pending event. Every
-//     LP checkpoints (simulator + netsim state + registered components)
-//     and runs strictly before min(t_start + lease, horizon).
-//  2. Commit bound: T_c = min over all undelivered boundary arrivals and
-//     all pending events — nothing at or after T_c is final, everything
-//     before it is. With positive-delay boundary links T_c > t_start, so
-//     every round makes progress.
-//  3. LPs whose last executed event is at or past T_c roll back: restore
-//     the checkpoint and deterministically replay to T_c. Replay
-//     regenerates exactly the boundary sends the pre-rollback execution
-//     produced before T_c (the keyed (at, key, seq) event order makes the
-//     replay bit-identical), so speculative sends at or past T_c simply
-//     never reappear in the outbox — anti-messages by reconstruction,
-//     with nothing to annihilate at the receiver because boundary sends
-//     quarantine in the sender's outbox until the barrier.
-//  4. The other LPs park their clocks at T_c, arrivals are exchanged,
-//     and leases adapt: shrink on rollback, grow on a clean round. The
-//     floor is the conservative window, so adversarial straggler
-//     schedules degrade to conservative performance, and the rollback
-//     depth is bounded by the lease by construction (the cascade
-//     stability condition of Manita & Simonot).
-//
-// Zero-delay boundary links make T_c == t_start possible (a same-instant
-// cross-LP cascade). The coordinator then rolls every fired LP back to
-// the round start and executes that single instant serially, picking the
-// globally minimal (time, key) event across LPs and exchanging arrivals
-// after every step — exactly the sequential order, at sequential speed,
-// for that instant only.
-//
-// Safety: arrivals delivered at a barrier can never land in any LP's
-// past. Every committed event executed before T_c; a boundary send it
-// produced was in some outbox when T_c was computed, so its arrival time
-// is at least T_c; and every LP's clock is parked exactly at T_c when
-// the exchange happens.
-
-// runOptimistic advances all logical processes to the horizon by
-// speculate/commit/rollback rounds. Workers are already spawned by
-// runPartitioned; a steady-state round allocates nothing (checkpoints
-// reuse per-LP buffers).
-func (n *Network) runOptimistic(horizon float64) {
-	leases := &n.leases
-	for {
-		// Round start: the globally earliest pending event.
-		tstart := math.Inf(1)
-		for _, p := range n.parts {
-			if at := p.sim.NextAt(); at < tstart {
-				tstart = at
-			}
-		}
-		if tstart >= horizon {
-			break
-		}
-
-		// Speculate: checkpoint every LP, then run it to its private
-		// lease bound, in parallel.
-		n.wdone.Add(len(n.parts))
-		maxBound := tstart
-		for _, p := range n.parts {
-			bound := tstart + p.lease
-			if bound > horizon {
-				bound = horizon
-			}
-			if bound > maxBound {
-				maxBound = bound
-			}
-			p.start <- windowCmd{wend: bound, save: true}
-		}
-		n.wdone.Wait()
-
-		// Commit bound: the earliest timestamp a not-yet-delivered
-		// boundary arrival or unexecuted event could still touch.
-		tc := horizon
-		for _, p := range n.parts {
-			for i := range p.outbox {
-				if at := p.outbox[i].at; at < tc {
-					tc = at
-				}
-			}
-			if at := p.sim.NextAt(); at < tc {
-				tc = at
-			}
-		}
-
-		// Roll back LPs that executed at or past the commit bound; the
-		// rest just park their clocks there. Restore + replay runs in
-		// parallel on the worker goroutines.
-		rolled := 0
-		var roundDepth float64
-		for _, p := range n.parts {
-			p.rolled = p.sim.LastFired() >= tc
-			if p.rolled {
-				rolled++
-				// Depth must be read before the rollback replay moves
-				// LastFired back to the committed prefix.
-				d := p.sim.LastFired() - tc
-				n.syncStats.TotalRollbackDepth += d
-				if d > roundDepth {
-					roundDepth = d
-				}
-			}
-		}
-		if rolled > 0 {
-			n.wdone.Add(rolled)
-			for _, p := range n.parts {
-				if p.rolled {
-					p.start <- windowCmd{wend: tc, rollback: true}
-				}
-			}
-			n.wdone.Wait()
-		}
-		for _, p := range n.parts {
-			if !p.rolled && p.sim.Now() != tc {
-				p.sim.SyncClock(tc)
-			}
-		}
-
-		// T_c == t_start means a zero-delay boundary send at the round
-		// start erased all progress: resolve that instant serially.
-		if tc == tstart {
-			n.serialInstant(tc)
-		}
-
-		// Adapt leases and account the round.
-		for _, p := range n.parts {
-			if p.rolled {
-				p.lease *= leaseShrink
-				if p.lease < leases.min {
-					p.lease = leases.min
-				}
-			} else {
-				p.lease *= leaseGrow
-				if p.lease > leases.max {
-					p.lease = leases.max
-				}
-			}
-		}
-		lag := maxBound - tc
-		n.syncStats.Windows++
-		n.syncStats.Rollbacks += uint64(rolled)
-		if roundDepth > n.syncStats.MaxRollbackDepth {
-			n.syncStats.MaxRollbackDepth = roundDepth
-		}
-		if lag > n.syncStats.MaxGVTLag {
-			n.syncStats.MaxGVTLag = lag
-		}
-		if n.syncObs != nil {
-			n.syncObs.SyncWindow(tc, lag, rolled, roundDepth)
-		}
-		n.exchange()
-	}
-
-	// Final pass: execute events exactly at the horizon and leave every
-	// clock there. With positive lookahead their boundary sends arrive
-	// strictly later and stay queued for the next call, exactly like the
-	// conservative inclusive pass; with zero-delay boundary links the
-	// horizon instant itself can cascade across LPs and runs serially.
-	if n.lookahead > 0 {
-		n.runWindow(windowCmd{wend: horizon, inclusive: true})
-	} else {
-		n.serialInstant(horizon)
-		for _, p := range n.parts {
-			if p.sim.Now() != horizon {
-				p.sim.SyncClock(horizon)
-			}
-		}
-	}
-	n.syncStats.Windows++
-	if n.syncObs != nil {
-		n.syncObs.SyncWindow(horizon, 0, 0, 0)
-	}
-	n.runWindow(windowCmd{quit: true})
-	n.exchange()
-}
-
-// serialInstant executes every event with timestamp exactly t, across all
-// logical processes, in global (time, key) order on the coordinator
-// goroutine, exchanging boundary arrivals after any step that produced
-// them — the sequential tie-break order, reproduced exactly. Workers are
-// parked at their channel receive, so the coordinator may touch their
-// simulators: the preceding wdone.Wait ordered their writes before this,
-// and the next command send orders these writes before theirs.
-func (n *Network) serialInstant(t float64) {
-	for {
-		var best *partition
-		var bestKey uint64
-		for _, p := range n.parts {
-			at, key, ok := p.sim.NextOrd()
-			if ok && at == t && (best == nil || key < bestKey) {
-				best, bestKey = p, key
-			}
-		}
-		if best == nil {
-			return
-		}
-		best.sim.Step()
-		n.syncStats.SerialEvents++
-		if len(best.outbox) > 0 {
-			n.exchange()
-		}
-	}
-}
+// This file holds optimistic mode's rollback checkpoints: everything a
+// logical process's events can mutate outside its des.Simulator, saved
+// at the start of every round the LP runs and restored when the round's
+// commit bound (see partition.go) falls behind the LP's last event.
 
 // lpSnap is the reusable netsim-side checkpoint of one logical process:
 // everything events can mutate that the des.Checkpoint does not cover.

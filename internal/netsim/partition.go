@@ -7,15 +7,46 @@ import (
 	"routesync/internal/des"
 )
 
-// This file implements conservative parallel execution for the network
-// simulator: the topology is split into K logical processes (LPs), each
-// owning a subset of nodes and running its own des.Simulator, and the LPs
-// advance together in bounded time windows (a barrier/YAWNS-style
-// scheme). The propagation Delay of every cross-partition link is the
-// lookahead: a packet transmitted during a window [W, W+L) cannot arrive
-// at another LP before W+L, so each LP may run the whole window without
-// hearing from its peers, and boundary arrivals are exchanged at the
-// barrier.
+// This file implements parallel execution for the network simulator: the
+// topology is split into K logical processes (LPs), each owning a subset
+// of nodes and running its own des.Simulator, and one coordinator loop
+// advances them together in rounds. The propagation Delay of every
+// cross-partition link bounds the lookahead L: a packet transmitted at t
+// cannot reach another LP before t+L.
+//
+// One round, in both synchronization modes:
+//
+//  1. t_start is the globally earliest pending event. Each LP's bound is
+//     min(t_start + lease, horizon). Only LPs with an event before their
+//     bound do work; in optimistic mode each of them checkpoints first.
+//     An idle LP's last event precedes t_start, so it can never roll
+//     back and needs no checkpoint. When at most one LP has work the
+//     coordinator runs it on its own goroutine; otherwise the workers do.
+//  2. The commit bound T_c is the minimum over all undelivered boundary
+//     arrivals and all pending events: nothing at or after T_c is final,
+//     everything before it is. Since L > 0, T_c > t_start and every round
+//     makes progress.
+//  3. LPs whose last executed event is at or past T_c roll back: restore
+//     the checkpoint and deterministically replay to T_c. Replay
+//     regenerates exactly the boundary sends the discarded execution
+//     produced before T_c (the keyed (at, key, seq) event order makes it
+//     bit-identical), and boundary sends wait in the sender's outbox
+//     until the barrier, so speculative sends simply never reappear.
+//  4. The other LPs move their clocks to T_c, leases adapt (shrink on
+//     rollback, grow on a clean round, within [L, leaseMaxL·L]), the
+//     round is counted and boundary arrivals are exchanged.
+//
+// A conservative round is the special case whose lease is pinned at L
+// (a YAWNS-style window): every arrival lands at or after t_start + L,
+// so no LP ever runs past T_c, and a rollback there panics. An
+// optimistic lease starts at 64·L and stretches toward the real traffic
+// gap; bounding it bounds the rollback depth, the cascade-stability
+// condition of Manita & Simonot.
+//
+// Safety: arrivals delivered at a barrier never land in any LP's past.
+// Every committed event executed before T_c; a boundary send it produced
+// was in some outbox when T_c was computed, so its arrival time is at
+// least T_c; and every LP's clock sits exactly at T_c at the exchange.
 //
 // Determinism: every event carries a (origin node, origin sequence) key
 // (see Node.nextKey) and des orders equal-time events by key, so the
@@ -23,7 +54,8 @@ import (
 // system — boundary arrivals injected at a barrier order exactly as the
 // same arrivals scheduled directly in a sequential run. Random draws,
 // packet ids and counters are all per-node or per-partition, so a
-// partitioned run is bit-identical to the sequential run for any K.
+// partitioned run is bit-identical to the sequential run for any K and
+// either mode.
 
 // boundaryEvent is a packet arrival whose receiver is owned by another
 // logical process. It carries the des ordering key drawn at transmission
@@ -37,17 +69,15 @@ type boundaryEvent struct {
 	link *Link
 }
 
-// windowCmd is one coordinator→worker instruction: run a window to wend
-// (strictly before, or inclusive for the final horizon pass), or quit.
-// save first checkpoints the logical process (optimistic speculation);
-// rollback first restores the round-start checkpoint, turning the window
-// into a deterministic replay up to the commit bound.
+// windowCmd is one coordinator→LP instruction: run strictly before the
+// LP's bound, or through it for the final horizon pass, after which the
+// worker exits. save first checkpoints the logical process (optimistic
+// speculation); rollback first restores the round-start checkpoint,
+// turning the run into a deterministic replay up to the commit bound.
 type windowCmd struct {
-	wend      float64
-	inclusive bool
-	quit      bool
-	save      bool
-	rollback  bool
+	final    bool
+	save     bool
+	rollback bool
 }
 
 // arrival is a pooled boundary-arrival slot: the event payload plus a
@@ -88,21 +118,24 @@ type partition struct {
 	// RunUntil call allocates neither channels nor closures.
 	start chan windowCmd
 	runFn func()
+	// lease is how far past the round start this LP may run (pinned at
+	// the lookahead in conservative mode); bound is the time the current
+	// command runs to, and run marks the LPs the command applies to.
+	lease float64
+	bound float64
+	run   bool
 
 	// Optimistic-mode state (see optimistic.go). ckp/snap are the
 	// round-start checkpoint of the simulator and of this LP's netsim
 	// state; chk holds component checkpoint hooks (RegisterCheckpoint);
 	// allArr registers every arrival slot ever minted so a rollback can
-	// restore slots recycled by speculatively fired arrivals; lease is
-	// the adaptive speculation bound and rolled the current round's
-	// rollback flag; ownedLinks/ownedLANs are the media directions this
-	// LP checkpoints, precomputed at Partition.
+	// restore slots recycled by speculatively fired arrivals;
+	// ownedLinks/ownedLANs are the media directions this LP checkpoints,
+	// precomputed at Partition.
 	ckp        des.Checkpoint
 	snap       lpSnap
 	chk        []Checkpointable
 	allArr     []*arrival
-	lease      float64
-	rolled     bool
 	ownedLinks []ownedLinkDir
 	ownedLANs  []*LAN
 }
@@ -144,17 +177,15 @@ func (p *partition) getArrival() *arrival {
 // workloads attached afterwards schedule through their nodes and land on
 // the owning partition's simulator automatically.
 //
-// Options select the synchronization mode (WithSyncMode, WithOptimistic);
-// without one the ROUTESYNC_SYNC_MODE environment variable decides,
-// defaulting to conservative.
+// WithSyncMode selects the synchronization mode; without it the
+// ROUTESYNC_SYNC_MODE environment variable decides, defaulting to
+// conservative.
 //
 // Constraints checked here:
 //   - every LAN must be wholly inside one partition (broadcast delivery
 //     is synchronous within a segment);
-//   - in conservative mode, every link between partitions must have
-//     Delay > 0 — that delay is the lookahead the bounded-window advance
-//     is built on. Optimistic mode accepts zero-delay boundary links
-//     (same-instant cross-LP cascades are resolved serially).
+//   - every link between partitions must have Delay > 0 — that delay is
+//     the lookahead every round's progress is built on.
 func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOption) {
 	if k < 1 {
 		panic("netsim: Partition needs k >= 1")
@@ -179,22 +210,11 @@ func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOpti
 		p.runFn = func() {
 			for {
 				cmd := <-p.start
-				if cmd.quit {
-					n.wdone.Done()
+				p.exec(cmd)
+				n.wdone.Done()
+				if cmd.final {
 					return
 				}
-				if cmd.save {
-					p.saveRound()
-				}
-				if cmd.rollback {
-					p.restoreRound()
-				}
-				if cmd.inclusive {
-					p.sim.RunUntil(cmd.wend)
-				} else {
-					p.sim.RunBefore(cmd.wend)
-				}
-				n.wdone.Done()
 			}
 		}
 		parts[i] = p
@@ -219,13 +239,11 @@ func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOpti
 			switch med := m.(type) {
 			case *Link:
 				if med.ends[0].part != med.ends[1].part {
-					if med.cfg.Delay <= 0 && po.mode == SyncConservative {
-						panic(fmt.Sprintf("netsim: link %v—%v crosses partitions with zero delay; conservative mode needs Delay > 0 for lookahead (optimistic mode accepts zero-delay boundary links)",
+					if med.cfg.Delay <= 0 {
+						panic(fmt.Sprintf("netsim: link %v—%v crosses partitions with zero delay; partitioning needs Delay > 0 for lookahead",
 							med.ends[0], med.ends[1]))
 					}
-					if med.cfg.Delay < lookahead {
-						lookahead = med.cfg.Delay
-					}
+					lookahead = min(lookahead, med.cfg.Delay)
 				}
 			case *LAN:
 				p0 := med.members[0].part
@@ -241,15 +259,13 @@ func (n *Network) Partition(k int, owner func(NodeID) int, opts ...PartitionOpti
 	n.parts = parts
 	n.lookahead = lookahead
 	n.syncStats.Mode = po.mode
-	if po.mode == SyncOptimistic {
-		n.leases = po.opt.resolve(lookahead)
-		for _, p := range parts {
-			p.pool.track = true
-			p.lease = n.leases.initial
-		}
-		if k > 1 {
-			n.initSnapshots()
-		}
+	n.leases = leaseSchedule(po.mode, lookahead)
+	for _, p := range parts {
+		p.lease = n.leases.initial
+		p.pool.track = po.mode == SyncOptimistic
+	}
+	if po.mode == SyncOptimistic && k > 1 {
+		n.initSnapshots()
 	}
 }
 
@@ -269,7 +285,8 @@ func (n *Network) PartitionOf(id NodeID) int {
 
 // Lookahead returns the conservative synchronization window: the minimum
 // propagation delay across partition-crossing links (+Inf when no link
-// crosses, i.e. the partitions are independent).
+// crosses, i.e. the partitions are independent, and every round runs to
+// the horizon).
 func (n *Network) Lookahead() float64 { return n.lookahead }
 
 // exchange drains every partition's outbox into the receiving partitions'
@@ -308,42 +325,61 @@ func (n *Network) exchange() {
 	}
 }
 
-// runWindow runs one synchronized window on every worker: signal all
-// partitions, then wait for all to finish. The coordinator writes the
-// command before the channel send, which orders it ahead of the worker's
-// read; wdone.Wait orders every worker's writes before the coordinator
-// continues.
-func (n *Network) runWindow(cmd windowCmd) {
-	n.wdone.Add(len(n.parts))
-	for _, p := range n.parts {
-		p.start <- cmd
+// exec runs one command on this logical process, on whichever goroutine
+// the coordinator chose (see runLPs).
+func (p *partition) exec(cmd windowCmd) {
+	if cmd.save {
+		p.saveRound()
 	}
-	n.wdone.Wait()
+	if cmd.rollback {
+		p.restoreRound()
+	}
+	if cmd.final {
+		p.sim.RunUntil(p.bound)
+	} else {
+		p.sim.RunBefore(p.bound)
+	}
 }
 
-// activeBefore counts the logical processes with an event before wend.
-func (n *Network) activeBefore(wend float64) int {
-	active := 0
+// runLPs executes cmd on the count logical processes marked run. At most
+// one is run on the coordinator's own goroutine — waking the workers
+// would cost more than the work — and the result reports that case;
+// otherwise each marked LP's worker runs it in parallel. The coordinator
+// may touch a worker's LP while the worker is parked at its channel
+// receive: the send orders the coordinator's writes before the worker's
+// reads, and wdone.Wait orders every worker's writes before the
+// coordinator continues.
+func (n *Network) runLPs(cmd windowCmd, count int) (inline bool) {
+	if count <= 1 {
+		for _, p := range n.parts {
+			if p.run {
+				p.exec(cmd)
+			}
+		}
+		return true
+	}
+	n.wdone.Add(count)
 	for _, p := range n.parts {
-		if p.sim.NextAt() < wend {
-			active++
+		if p.run {
+			p.start <- cmd
 		}
 	}
-	return active
+	n.wdone.Wait()
+	return false
 }
 
-// runPartitioned advances all logical processes to the horizon with
-// bounded-window barrier synchronization. Workers are spawned per call
-// from per-partition bodies built at Partition time and told to quit
-// after the final window, so a network never retains goroutines between
-// runs and a steady-state call allocates nothing.
+// runPartitioned advances all logical processes to the horizon in rounds
+// (see the top of this file). Workers are spawned per call from
+// per-partition bodies built at Partition time and exit after the final
+// pass, so a network never retains goroutines between runs, and a
+// steady-state call allocates nothing (checkpoints reuse per-LP buffers).
 func (n *Network) runPartitioned(horizon float64) {
 	if n.Sim.Pending() > 0 {
 		panic("netsim: events pending on the root simulator of a partitioned network; schedule runtime events through nodes")
 	}
 	// Boundary arrivals produced at the very end of a previous call (by
 	// events firing exactly at that call's horizon) are still in the
-	// outboxes; deliver them before planning windows.
+	// outboxes; deliver them before planning rounds.
 	n.exchange()
 
 	if len(n.parts) == 1 {
@@ -357,57 +393,93 @@ func (n *Network) runPartitioned(horizon float64) {
 		go p.runFn()
 	}
 
-	if n.syncStats.Mode == SyncOptimistic {
-		n.runOptimistic(horizon)
-		return
-	}
-
+	optimistic := n.syncStats.Mode == SyncOptimistic
+	st := &n.syncStats
 	for {
-		// The next window starts at the globally earliest pending event.
-		next := math.Inf(1)
+		tstart := math.Inf(1)
 		for _, p := range n.parts {
-			if at := p.sim.NextAt(); at < next {
-				next = at
-			}
+			tstart = min(tstart, p.sim.NextAt())
 		}
-		if next >= horizon {
+		if tstart >= horizon {
 			break
 		}
-		wend := horizon
-		if w := next + n.lookahead; w < horizon {
-			wend = w
-		}
-		// Strictly-before execution: an event exactly at wend must order
-		// against boundary arrivals landing at wend, which are only
-		// delivered at the barrier below.
-		if n.activeBefore(wend) > 1 {
-			n.runWindow(windowCmd{wend: wend})
-		} else {
-			// At most one LP has work: waking the workers would cost
-			// more than the window, so the coordinator runs it. The
-			// other LPs only advance their clocks.
-			for _, p := range n.parts {
-				p.sim.RunBefore(wend)
+
+		// Run every LP with work to its bound. Strictly-before execution:
+		// an event exactly at the bound must order against boundary
+		// arrivals landing there, which are only delivered at the barrier.
+		active, maxBound := 0, tstart
+		for _, p := range n.parts {
+			p.bound = min(tstart+p.lease, horizon)
+			maxBound = max(maxBound, p.bound)
+			p.run = p.sim.NextAt() < p.bound
+			if p.run {
+				active++
 			}
-			n.syncStats.InlineWindows++
+		}
+		if n.runLPs(windowCmd{save: optimistic}, active) {
+			st.InlineWindows++
 			if n.inlineObs != nil {
 				n.inlineObs.InlineWindow()
 			}
 		}
-		n.syncStats.Windows++
+
+		// Commit bound: the earliest timestamp a not-yet-delivered
+		// boundary arrival or unexecuted event could still touch.
+		tc := horizon
+		for _, p := range n.parts {
+			for i := range p.outbox {
+				tc = min(tc, p.outbox[i].at)
+			}
+			tc = min(tc, p.sim.NextAt())
+		}
+
+		// Roll back the LPs that executed at or past the commit bound
+		// (depth is read before the replay moves LastFired back) and
+		// shrink their leases; the rest move their clocks there and grow
+		// theirs.
+		rolled, depth := 0, 0.0
+		for _, p := range n.parts {
+			d := p.sim.LastFired() - tc
+			p.run = d >= 0
+			if p.run {
+				rolled++
+				st.TotalRollbackDepth += d
+				depth = max(depth, d)
+				p.bound = tc
+				p.lease = max(p.lease*leaseShrink, n.leases.min)
+			} else {
+				p.sim.SyncClock(tc)
+				p.lease = min(p.lease*leaseGrow, n.leases.max)
+			}
+		}
+		if rolled > 0 {
+			if !optimistic {
+				panic(fmt.Sprintf("netsim: conservative round ran past its commit bound %v; the lookahead invariant is broken", tc))
+			}
+			n.runLPs(windowCmd{rollback: true}, rolled)
+		}
+		lag := max(maxBound-tc, 0)
+		st.Windows++
+		st.Rollbacks += uint64(rolled)
+		st.MaxRollbackDepth = max(st.MaxRollbackDepth, depth)
+		st.MaxGVTLag = max(st.MaxGVTLag, lag)
 		if n.syncObs != nil {
-			n.syncObs.SyncWindow(wend, 0, 0, 0)
+			n.syncObs.SyncWindow(tc, lag, rolled, depth)
 		}
 		n.exchange()
 	}
-	// Inclusive pass: execute events exactly at the horizon and leave
-	// every clock there. Boundary arrivals they produce land at
-	// > horizon (positive delay) and stay queued for the next call.
-	n.runWindow(windowCmd{wend: horizon, inclusive: true})
-	n.syncStats.Windows++
+
+	// Final pass, on every worker (there are at least two, so none is run
+	// inline and each exits after it): execute events exactly at the
+	// horizon and leave every clock there. Their boundary sends arrive
+	// strictly later and stay queued for the next call.
+	for _, p := range n.parts {
+		p.bound, p.run = horizon, true
+	}
+	n.runLPs(windowCmd{final: true}, len(n.parts))
+	st.Windows++
 	if n.syncObs != nil {
 		n.syncObs.SyncWindow(horizon, 0, 0, 0)
 	}
-	n.runWindow(windowCmd{quit: true})
 	n.exchange()
 }

@@ -182,9 +182,9 @@ func TestPartitionValidation(t *testing.T) {
 		defer expectPanic(t, "LAN spanning partitions")
 		nw.Partition(2, func(id NodeID) int { return int(id) })
 	})
+	// Both modes need positive lookahead: every round's progress is
+	// built on it.
 	t.Run("zero-delay-boundary", func(t *testing.T) {
-		// Pinned conservative: only that mode needs positive lookahead
-		// (the suite may be swept with ROUTESYNC_SYNC_MODE=optimistic).
 		nw := NewNetwork(1)
 		a := nw.NewNode("a", nil)
 		b := nw.NewNode("b", nil)
@@ -192,15 +192,13 @@ func TestPartitionValidation(t *testing.T) {
 		defer expectPanic(t, "zero-delay boundary link")
 		nw.Partition(2, func(id NodeID) int { return int(id) }, WithSyncMode(SyncConservative))
 	})
-	t.Run("zero-delay-boundary-optimistic-ok", func(t *testing.T) {
+	t.Run("zero-delay-boundary-optimistic-refused", func(t *testing.T) {
 		nw := NewNetwork(1)
 		a := nw.NewNode("a", nil)
 		b := nw.NewNode("b", nil)
 		nw.Connect(a, b, LinkConfig{Delay: 0})
+		defer expectPanic(t, "zero-delay boundary link in optimistic mode")
 		nw.Partition(2, func(id NodeID) int { return int(id) }, WithSyncMode(SyncOptimistic))
-		if nw.Lookahead() != 0 {
-			t.Fatalf("Lookahead = %v, want 0", nw.Lookahead())
-		}
 	})
 	t.Run("owner-range", func(t *testing.T) {
 		nw := NewNetwork(1)

@@ -195,12 +195,9 @@ type Agent struct {
 
 // NewAgent creates an agent on node. Call Start to begin. It panics if
 // the node's network is partitioned in optimistic mode: the agent's
-// adj-RIB-in and MRAI state are not checkpointed, so a rollback could not
-// restore them.
+// adj-RIB-in and MRAI state have no rollback hooks, so the kernel
+// refuses it.
 func NewAgent(node *netsim.Node, cfg Config) *Agent {
-	if node.Net().SyncMode() == netsim.SyncOptimistic {
-		panic("pathvector: optimistic partitions are unsupported (adj-RIB-in and MRAI state are not checkpointed); partition with netsim.WithSyncMode(netsim.SyncConservative)")
-	}
 	if cfg.RefreshPeriod <= 0 {
 		panic("pathvector: refresh period must be positive")
 	}

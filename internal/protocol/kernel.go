@@ -136,6 +136,13 @@ type Hooks[A any] struct {
 	// before the receive hook is reinstalled — the place to reset rate
 	// limiters and other wall-clock-relative state.
 	Restarted func()
+	// Save and Restore checkpoint the family's own state (tables,
+	// databases, counters) alongside the kernel's in optimistic
+	// partitioned runs: Restore must leave it bit-identical to its last
+	// Save. A family without them cannot roll back, so New refuses an
+	// optimistic partition unless both are set.
+	Save    func()
+	Restore func()
 }
 
 // Config assembles a kernel.
@@ -234,8 +241,10 @@ type kernelCkpt[A any] struct {
 }
 
 // SaveCheckpoint implements netsim.Checkpointable; the owning logical
-// process calls it at each optimistic round boundary.
+// process calls it at each optimistic round boundary. It saves the
+// family's state through the Save hook too.
 func (k *Kernel[A]) SaveCheckpoint() {
+	k.hooks.Save()
 	c := &k.ckpt
 	c.timerEv = k.timerEv
 	c.sweepEv = k.sweepEv
@@ -250,8 +259,9 @@ func (k *Kernel[A]) SaveCheckpoint() {
 }
 
 // RestoreCheckpoint implements netsim.Checkpointable, rolling the kernel
-// back to its SaveCheckpoint state.
+// and the family state back to their SaveCheckpoint state.
 func (k *Kernel[A]) RestoreCheckpoint() {
+	k.hooks.Restore()
 	c := &k.ckpt
 	k.timerEv = c.timerEv
 	k.sweepEv = c.sweepEv
@@ -267,7 +277,9 @@ func (k *Kernel[A]) RestoreCheckpoint() {
 
 // New creates a kernel on cfg.Node and installs hooks.Receive as the
 // node's routing handler. Call StartTimer/ScheduleSweep (usually from
-// the family's Start) to begin. It panics on an invalid configuration.
+// the family's Start) to begin. It panics on an invalid configuration,
+// and on a network partitioned in optimistic mode unless the family
+// supplies Save and Restore hooks.
 func New[A any](cfg Config, hooks Hooks[A]) *Kernel[A] {
 	if cfg.Node == nil {
 		panic(cfg.Name + ": kernel needs a node")
@@ -280,6 +292,9 @@ func New[A any](cfg Config, hooks Hooks[A]) *Kernel[A] {
 	}
 	if cfg.SweepEvery > 0 && hooks.Sweep == nil {
 		panic(cfg.Name + ": sweep interval without a Sweep hook")
+	}
+	if (hooks.Save == nil || hooks.Restore == nil) && cfg.Node.Net().SyncMode() == netsim.SyncOptimistic {
+		panic(cfg.Name + ": optimistic partitions are unsupported (the family has no Save/Restore rollback hooks); partition with netsim.WithSyncMode(netsim.SyncConservative)")
 	}
 	k := &Kernel[A]{
 		node:       cfg.Node,

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"strings"
 	"testing"
 
 	"routesync/internal/jitter"
@@ -66,6 +67,38 @@ func TestKernelNewValidation(t *testing.T) {
 	k := New(base, testHooks())
 	mustPanic(t, "negative start offset", func() { k.StartTimer(-1) })
 	mustPanic(t, "restart running agent", func() { k.Restart() })
+}
+
+// TestKernelRefusesOptimisticPartition: a family without Save/Restore
+// hooks cannot roll back, so New refuses a network partitioned in
+// optimistic mode, naming the family; with the hooks, or on a
+// conservative partition, it builds.
+func TestKernelRefusesOptimisticPartition(t *testing.T) {
+	build := func(mode netsim.SyncMode) Config {
+		net := netsim.NewNetwork(1)
+		a, b := net.NewNode("a", nil), net.NewNode("b", nil)
+		net.Connect(a, b, netsim.LinkConfig{Delay: 0.01})
+		net.Partition(2, func(id netsim.NodeID) int { return int(id) }, netsim.WithSyncMode(mode))
+		return Config{Name: "fam", Node: a, Jitter: jitter.None{Tp: 10}}
+	}
+	New(build(netsim.SyncConservative), testHooks())
+	h := testHooks()
+	h.Save, h.Restore = func() {}, func() {}
+	New(build(netsim.SyncOptimistic), h)
+	saveOnly, restoreOnly := testHooks(), testHooks()
+	saveOnly.Save = func() {}
+	restoreOnly.Restore = func() {}
+	for name, h := range map[string]Hooks[int]{"no Restore": saveOnly, "no Save": restoreOnly} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "fam:") || !strings.Contains(msg, "optimistic") {
+					t.Errorf("%s: New on an optimistic partition panicked with %q, want a refusal naming the family and optimistic mode", name, msg)
+				}
+			}()
+			New(build(netsim.SyncOptimistic), h)
+		}()
+	}
 }
 
 func TestFIFOHeadReuse(t *testing.T) {

@@ -137,16 +137,16 @@ type agentCkpt struct {
 	table    tableCkpt
 }
 
-// SaveCheckpoint implements netsim.Checkpointable for optimistic
-// partitioned runs.
-func (a *Agent) SaveCheckpoint() {
+// saveCheckpoint is the kernel's Save hook: the agent state an optimistic
+// rollback must restore.
+func (a *Agent) saveCheckpoint() {
 	a.ckpt.lastTrig = a.lastTrig
 	a.ckpt.stats = a.stats
 	a.table.saveInto(&a.ckpt.table)
 }
 
-// RestoreCheckpoint implements netsim.Checkpointable.
-func (a *Agent) RestoreCheckpoint() {
+// restoreCheckpoint is the kernel's Restore hook.
+func (a *Agent) restoreCheckpoint() {
 	a.lastTrig = a.ckpt.lastTrig
 	a.stats = a.ckpt.stats
 	a.table.restoreFrom(&a.ckpt.table)
@@ -203,8 +203,9 @@ func NewAgent(node *netsim.Node, cfg Config) *Agent {
 		Restarted: func() {
 			a.lastTrig = a.k.Node().Now() - a.cfg.TriggerHoldoff
 		},
+		Save:    a.saveCheckpoint,
+		Restore: a.restoreCheckpoint,
 	})
-	node.Net().RegisterCheckpoint(node, a)
 	return a
 }
 

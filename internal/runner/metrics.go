@@ -65,7 +65,8 @@ func (m *Metrics) SyncWindow(gvt, lag float64, rollbacks int, maxDepth float64) 
 }
 
 // InlineWindow implements netsim.InlineWindowObserver: one call per
-// conservative window the coordinator ran without waking the workers.
+// round, in either sync mode, the coordinator ran without waking the
+// workers.
 func (m *Metrics) InlineWindow() { m.syncInline.Add(1) }
 
 // bumpFloat is a CAS max over non-negative float64 values stored as
